@@ -39,6 +39,11 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CAP = 2
 
+_DELTA_CAP_HELP = (
+    "largest biconnected block the four-point scan accepts (vertices); "
+    "a larger block exits 2"
+)
+
 
 def _default_threads() -> int:
     env = os.environ.get("KGC_THREADS")
@@ -124,16 +129,21 @@ def cmd_verify(args) -> int:
     paths = data.get("paths")
     if paths is None:
         paths = data.get("cover")
+    k = data.get("k")
+    if k is not None:
+        k = int(k)
     report: dict = {}
     ok = True
 
     if paths is not None:
         paths = [tuple(int(v) for v in p) for p in paths]
+        within_k = k is None or len(paths) <= k
         isometric = all(is_isometric(D, p) for p in paths)
         ecc = family_eccentricity(g, paths) if paths else None
-        cover_ok = isometric and ecc is not None and ecc <= args.radius
+        cover_ok = within_k and isometric and ecc is not None and ecc <= args.radius
         report["cover"] = {
             "paths": len(paths),
+            "within_k": within_k,
             "isometric": isometric,
             "eccentricity": ecc,
             "radius": args.radius,
@@ -148,17 +158,20 @@ def cmd_verify(args) -> int:
         rooted = data
     if rooted is not None and rooted.get("packing_witness"):
         witness = rooted["packing_witness"]
-        packing_ok = verify_packing(
-            g,
-            D,
-            int(rooted["root"]),
-            int(witness["R"]),
-            [int(v) for v in witness["vertices"]],
+        root, witness_radius = int(rooted["root"]), int(witness["R"])
+        vertices = [int(v) for v in witness["vertices"]]
+        # with k known, the witness must be the 2k-vertex packing one step
+        # below the rooted radius, or it does not show that radius is least
+        shape_ok = k is None or (
+            len(set(vertices)) == len(vertices) == 2 * k
+            and witness_radius == int(rooted["R"]) - 1
         )
+        packing_ok = shape_ok and verify_packing(g, D, root, witness_radius, vertices)
         report["packing"] = {
-            "root": int(rooted["root"]),
-            "R": int(witness["R"]),
-            "size": len(witness["vertices"]),
+            "root": root,
+            "R": witness_radius,
+            "size": len(vertices),
+            "shape_ok": shape_ok,
             "ok": packing_ok,
         }
         ok = ok and packing_ok
@@ -227,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable incumbent pruning across roots")
     p.add_argument("--best-effort", action="store_true",
                    help="also try the k best rooted paths, keep the smaller radius")
-    p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP)
+    p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
+                   help=_DELTA_CAP_HELP)
     add_output(p)
     p.set_defaults(func=cmd_solve)
 
@@ -241,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="four-point hyperbolicity (doubled)")
     add_graph(p)
-    p.add_argument("--cap", type=int, default=DELTA_VERTEX_CAP)
+    p.add_argument("--cap", type=int, default=DELTA_VERTEX_CAP, help=_DELTA_CAP_HELP)
     add_output(p)
     p.set_defaults(func=cmd_delta)
 
@@ -274,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--tau-hat-doubled", type=int, default=None)
-    p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP)
+    p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
+                   help=_DELTA_CAP_HELP)
     add_output(p)
     p.set_defaults(func=cmd_bench)
 

@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import json
 
-from kgc import load_graph, serialize_graph, star_graph, path_graph
+from kgc import (
+    cycle_graph,
+    load_graph,
+    path_graph,
+    random_tree,
+    serialize_graph,
+    star_graph,
+    subdivide,
+)
 from kgc.cli import main
 
 
@@ -80,7 +88,8 @@ def test_gen_grid_then_delta(tmp_path, capsys):
 
 
 def test_delta_cap_exit_code(tmp_path, capsys):
-    gpath = write_graph(tmp_path, path_graph(30), "p30.txt")
+    # the cap applies to the largest biconnected block: a cycle is one block
+    gpath = write_graph(tmp_path, cycle_graph(30), "c30.txt")
     code, _, err = run_cli(capsys, "delta", "-g", gpath, "--cap", "10")
     assert code == 2
     assert "cap" in err.lower()
@@ -137,6 +146,62 @@ def test_verify_tampered_packing_fails(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", str(solved),
                            "--radius", str(data["radius"]))
     assert code == 1
+
+
+def test_solve_large_tree_default_cap(tmp_path, capsys):
+    gpath = write_graph(tmp_path, random_tree(600, 5), "tree600.txt")
+    code, out, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "3")
+    assert code == 0
+    assert json.loads(out)["bounds"]["tau_source"] == "computed"
+
+
+def _verify_tampered(tmp_path, capsys, g, k, edit):
+    """Solve g, check the artifact verifies, apply edit, verify again."""
+    gpath = write_graph(tmp_path, g, "g.txt")
+    solved = tmp_path / "out.json"
+    run_cli(capsys, "solve", "-g", gpath, "-k", str(k), "-o", str(solved))
+    data = json.loads(solved.read_text())
+    argv = ("verify", "-g", gpath, "--cover", str(solved), "--radius", str(data["radius"]))
+    assert run_cli(capsys, *argv)[0] == 0
+    edit(data)
+    solved.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, *argv)
+    return code, json.loads(out)
+
+
+def test_verify_rejects_more_than_k_paths(tmp_path, capsys):
+    def extra_paths(data):
+        data["paths"] *= 8  # copies stay isometric and keep the radius
+
+    code, report = _verify_tampered(tmp_path, capsys, path_graph(9), 1, extra_paths)
+    assert code == 1
+    assert report["cover"]["within_k"] is False
+
+
+def test_verify_rejects_witness_without_2k_distinct_vertices(tmp_path, capsys):
+    def drop_one(data):
+        data["rooted"]["packing_witness"]["vertices"].pop()
+
+    def repeat_one(data):
+        vertices = data["rooted"]["packing_witness"]["vertices"]
+        vertices[-1] = vertices[0]
+
+    for edit in (drop_one, repeat_one):
+        code, report = _verify_tampered(tmp_path, capsys, star_graph(5), 2, edit)
+        assert code == 1
+        assert report["packing"]["shape_ok"] is False
+
+
+def test_verify_rejects_witness_radius_off_rooted(tmp_path, capsys):
+    def lower_radius(data):
+        # a packing at R is one at R-1 as well, so only the rooted R rules it out
+        assert data["rooted"]["packing_witness"]["R"] >= 1
+        data["rooted"]["packing_witness"]["R"] -= 1
+
+    spider = subdivide(star_graph(3), 3)  # rooted R is 3
+    code, report = _verify_tampered(tmp_path, capsys, spider, 1, lower_radius)
+    assert code == 1
+    assert report["packing"]["shape_ok"] is False
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -23,6 +23,7 @@ from kgc import (
     star_graph,
     subdivide,
 )
+from kgc.graph_core import biconnected_blocks
 from conftest import naive_delta_doubled, small_graph_corpus
 
 
@@ -262,16 +263,87 @@ def test_four_point_delta_frozen_values():
     assert four_point_delta(apsp(cycle_graph(5))) == HalfInteger(1)  # 1/2
 
 
+def _bridged_c5s() -> Graph:
+    # two 5-cycles joined by the bridge path 4-10-11-5
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    edges += [(4, 10), (10, 11), (11, 5)]
+    return Graph.from_edges(12, edges)
+
+
+def _cycles_at_cut_vertex() -> Graph:
+    # a 4-cycle, a 5-cycle and a 6-cycle sharing vertex 0
+    edges, nxt = [], 1
+    for length in (4, 5, 6):
+        ring = [0, *range(nxt, nxt + length - 1)]
+        edges += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+        nxt += length - 1
+    return Graph.from_edges(nxt, edges)
+
+
+def _grid_with_pendant_tree() -> Graph:
+    # 3x3 grid plus pendant trees at corners 8 and 0
+    edges = list(grid_graph(3, 3).edges())
+    edges += [(8, 9), (9, 10), (9, 11), (11, 12), (0, 13)]
+    return Graph.from_edges(14, edges)
+
+
+def _multi_block_graphs():
+    return [
+        *small_graph_corpus(40, 12, seed=21, max_m=12 + 2),  # sparse: many bridges
+        _bridged_c5s(),
+        _cycles_at_cut_vertex(),
+        _grid_with_pendant_tree(),
+    ]
+
+
 def test_four_point_delta_matches_naive():
-    for g in small_graph_corpus(12, 10, seed=4):
+    for g in [*small_graph_corpus(12, 10, seed=4), *_multi_block_graphs()]:
         D = apsp(g)
         assert four_point_delta(D).doubled == naive_delta_doubled(D)
 
 
+def _induced_connected(g: Graph, vertices: set[int]) -> bool:
+    start = min(vertices)
+    seen, todo = {start}, [start]
+    while todo:
+        for w in g.adjacency[todo.pop()]:
+            if w in vertices and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen == vertices
+
+
+def test_biconnected_blocks_partition_edges():
+    for g in _multi_block_graphs():
+        blocks = [set(b) for b in biconnected_blocks(apsp(g))]
+        for u, v in g.edges():
+            assert sum(u in b and v in b for b in blocks) == 1
+        for i, a in enumerate(blocks):
+            for b in blocks[i + 1 :]:
+                assert len(a & b) <= 1
+        # each block is 2-connected, and maximal: the blocks form a tree
+        # through their cut vertices, so they add n - 1 vertices to a root
+        for b in blocks:
+            assert len(b) == 2 or all(_induced_connected(g, b - {x}) for x in b)
+        assert sum(len(b) - 1 for b in blocks) == g.n - 1
+    assert sorted(map(len, biconnected_blocks(apsp(_cycles_at_cut_vertex())))) == [4, 5, 6]
+
+
+def test_biconnected_blocks_of_trees_are_edges():
+    for seed in range(4):
+        g = random_tree(30 + 10 * seed, seed)
+        blocks = biconnected_blocks(apsp(g))
+        assert sorted(map(tuple, blocks)) == sorted(g.edges())
+    assert biconnected_blocks(apsp(path_graph(1))) == []
+
+
 def test_four_point_delta_cap():
-    g = path_graph(20)
-    with pytest.raises(CapExceededError):
-        four_point_delta(apsp(g), max_vertices=19)
+    # the cap applies to the largest biconnected block: a cycle is one block
+    # of n vertices, while a path's blocks are single edges
+    with pytest.raises(CapExceededError, match="four_point_delta cap:"):
+        four_point_delta(apsp(cycle_graph(20)), max_vertices=19)
+    assert four_point_delta(apsp(path_graph(20)), max_vertices=19) == HalfInteger(0)
 
 
 def test_graph_from_edges_rejects_bad_input():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kgc import (
+    DELTA_VERTEX_CAP,
     HalfInteger,
     SolveOptions,
     apsp,
@@ -186,3 +187,13 @@ def test_deterministic_serialization():
             solve(g, 2, SolveOptions(prune=False)).as_dict(), sort_keys=True
         )
         assert a == b == c == d
+
+
+def test_large_tree_solves_with_default_options():
+    # every block of a tree is a single edge, so n past the cap is fine
+    g = random_tree(600, 5)
+    assert g.n > DELTA_VERTEX_CAP
+    res = solve(g, 3)
+    assert res.bounds.tau_source == "computed"
+    assert res.bounds.tau_hat.doubled == 0
+    assert res.radius == res.rooted.radius
