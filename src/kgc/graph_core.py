@@ -17,6 +17,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 DELTA_VERTEX_CAP = 512
+_APSP_SLICE = 1 << 14  # frontier cells and edges expanded per step of apsp
 
 _MASK64 = (1 << 64) - 1
 
@@ -373,23 +374,63 @@ class DistanceMatrix:
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """Exact hop distances via one BFS per source."""
+    """Exact hop distances: one breadth-first search from all sources at once.
+
+    Level-synchronous over a flat frontier of cells ``source*n + vertex``:
+    each level expands the frontier through CSR neighbour arrays, keeps the
+    cells not yet reached, and writes them the next distance.  Expansion
+    runs in slices of at most ``_APSP_SLICE`` cells and about as many
+    edges, so beyond the matrix only the frontier and the level it reaches
+    grow with n.
+    """
     n = g.n
-    d = np.full((n, n), -1, dtype=np.int32)
-    adj = g.adjacency
-    for s in range(n):
-        row = d[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in adj[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    queue.append(w)
+    cell = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    deg = np.fromiter(map(len, g.adjacency), dtype=cell, count=n)
+    indptr = np.zeros(n + 1, dtype=cell)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.fromiter(
+        (w for ns in g.adjacency for w in ns), dtype=cell, count=int(indptr[-1])
+    )
+    flat = np.full(n * n, -1, dtype=np.int32)
+    frontier = np.arange(0, n * n, n + 1, dtype=cell)  # the diagonal
+    flat[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        reached = []
+        for part in _frontier_slices(frontier, n, deg):
+            vertex = part % n
+            counts = deg[vertex]
+            starts = indptr[vertex] - (np.cumsum(counts, dtype=cell) - counts)
+            pos = np.repeat(starts, counts)
+            pos += np.arange(pos.size, dtype=cell)
+            cells = np.repeat(part - vertex, counts) + indices[pos]
+            cells = cells[flat[cells] < 0]
+            # deduplicate without sorting: of the slots naming the same cell,
+            # exactly one reads back its own stamp
+            stamp = np.arange(cells.size, dtype=np.int32)
+            flat[cells] = stamp
+            cells = cells[flat[cells] == stamp]
+            flat[cells] = level
+            reached.append(cells)
+        frontier = np.concatenate(reached)
+    d = flat.reshape(n, n)
     d.setflags(write=False)
     return DistanceMatrix(n=n, d=d)
+
+
+def _frontier_slices(frontier: np.ndarray, n: int, deg: np.ndarray):
+    """Consecutive non-empty pieces of ``frontier`` of at most
+    ``_APSP_SLICE`` cells and about as many edges (more only where one
+    vertex alone has more)."""
+    for lo in range(0, frontier.size, _APSP_SLICE):
+        part = frontier[lo : lo + _APSP_SLICE]
+        ends = np.cumsum(deg[part % n])
+        cuts = np.searchsorted(ends, np.arange(_APSP_SLICE, int(ends[-1]), _APSP_SLICE))
+        bounds = [0, *cuts.tolist(), part.size]
+        for a, b in zip(bounds, bounds[1:]):
+            if a < b:
+                yield part[a:b]
 
 
 def gromov_product(D: DistanceMatrix, x: int, y: int, z: int) -> HalfInteger:

@@ -32,7 +32,6 @@ from .graph_core import DistanceMatrix, Graph
 from .geodesics import (
     VertexPath,
     exists_covering_rpath,
-    geodesic_alignment,
     shortest_path,
 )
 
@@ -79,32 +78,8 @@ class RootedSolution:
         }
 
 
-class _BallCache:
-    """Per-solve cache of boolean ball matrices d <= R, shared across roots."""
-
-    def __init__(self, D: DistanceMatrix):
-        self._d = D.d
-        self._lock = threading.Lock()
-        self._mats: dict[int, np.ndarray] = {}
-
-    def at(self, radius: int) -> np.ndarray:
-        with self._lock:
-            mat = self._mats.get(radius)
-            if mat is None:
-                mat = self._d <= radius
-                self._mats[radius] = mat
-            return mat
-
-
 def cover_or_packing(
-    g: Graph,
-    D: DistanceMatrix,
-    r: int,
-    radius: int,
-    k: int,
-    *,
-    aligned: np.ndarray | None = None,
-    ball: np.ndarray | None = None,
+    g: Graph, D: DistanceMatrix, r: int, radius: int, k: int
 ) -> RootedOutcome:
     """One greedy run at (root, radius): a rooted cover of at most 2k-1
     geodesics, or a packing of exactly 2k vertices.
@@ -112,30 +87,37 @@ def cover_or_packing(
     Farthest-first picks, ties to the smallest id.  If the 2k-th pick
     happens the packing is returned even when it emptied the graph; the
     packing is always valid and the cover branch stays below 2k.
+
+    Each pick's kill set is built from the rows of ``D`` it touches, never
+    an n x n matrix: the pick's ball ``bv``, then the vertices a aligned
+    with some b in ``bv`` on a geodesic through r (d(a,b) = |d(r,a) -
+    d(r,b)|), then everything within ``radius`` of one of those.  The
+    canonical geodesics are built only when the greedy exits with a cover.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
     d = D.d
-    if aligned is None:
-        aligned = geodesic_alignment(D, r)
-    if ball is None:
-        ball = d <= radius
-    dr = d[r].astype(np.int64)
-    alive = np.ones(g.n, dtype=bool)
+    dr = d[r]
+    score = dr.copy()  # distance from r while alive, -1 once killed
     picks: list[int] = []
-    sigmas: list[VertexPath] = []
-    while alive.any() and len(picks) < 2 * k:
-        v = int(np.where(alive, dr, -1).argmax())  # argmax takes the lowest id
+    while len(picks) < 2 * k:
+        v = int(score.argmax())  # argmax takes the lowest id
+        if score[v] < 0:
+            break  # everything is killed: cover
         picks.append(v)
-        sigmas.append(shortest_path(g, D, r, v))
-        if len(picks) == 2 * k:
-            break  # outcome decided; the kill set no longer matters
-        near_geodesic = (aligned & ball[v][None, :]).any(axis=1)
-        killed = (ball & near_geodesic[None, :]).any(axis=1)
-        alive &= ~killed
+        if len(picks) == 2 * k or dr[v] <= radius:
+            # 2k picks: a packing, whatever the kill set.  Or r is in v's
+            # ball and aligned with every vertex, so all die: a cover.
+            break
+        bv = (d[v] <= radius).nonzero()[0]
+        gap = dr[bv, None] - dr[None, :]
+        np.abs(gap, out=gap)
+        near = np.logical_or.reduce(gap == d[bv], axis=0)  # holds v itself
+        score[np.minimum.reduce(d[near], axis=0) <= radius] = -1
     if len(picks) == 2 * k:
         return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
-    return RootedOutcome(cover=tuple(sigmas), packing=None)
+    cover = tuple(shortest_path(g, D, r, v) for v in picks)
+    return RootedOutcome(cover=cover, packing=None)
 
 
 def verify_packing(
@@ -152,12 +134,8 @@ def verify_packing(
 
 def scan_root(g: Graph, D: DistanceMatrix, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Linear scan diagnostic: greedy outcome (cover?) for each radius 0..upto."""
-    aligned = geodesic_alignment(D, r)
     limit = g.n if upto is None else upto
-    return [
-        cover_or_packing(g, D, r, radius, k, aligned=aligned).is_cover
-        for radius in range(limit + 1)
-    ]
+    return [cover_or_packing(g, D, r, radius, k).is_cover for radius in range(limit + 1)]
 
 
 def _search_root(
@@ -165,7 +143,6 @@ def _search_root(
     D: DistanceMatrix,
     r: int,
     k: int,
-    balls: _BallCache,
     stop_lo=None,
     first_probe: int | None = None,
 ):
@@ -176,7 +153,6 @@ def _search_root(
     trivial path reaches everything).  Returns (radius, cover, witness),
     or None when ``stop_lo()`` tells us the root cannot win anymore.
     """
-    aligned = geodesic_alignment(D, r)
     lo, hi = -1, g.n
     cover_at_hi: tuple[VertexPath, ...] | None = None
     packing_at_lo: tuple[int, ...] | None = None
@@ -190,13 +166,13 @@ def _search_root(
         else:
             mid = (lo + hi) // 2
         first_probe = None
-        out = cover_or_packing(g, D, r, mid, k, aligned=aligned, ball=balls.at(mid))
+        out = cover_or_packing(g, D, r, mid, k)
         if out.is_cover:
             hi, cover_at_hi = mid, out.cover
         else:
             lo, packing_at_lo = mid, out.packing
     if cover_at_hi is None:
-        out = cover_or_packing(g, D, r, hi, k, aligned=aligned, ball=balls.at(hi))
+        out = cover_or_packing(g, D, r, hi, k)
         cover_at_hi = out.cover
         if cover_at_hi is None:  # pragma: no cover - radius n always covers
             raise AssertionError(f"no cover at radius {hi} from root {r}")
@@ -211,8 +187,7 @@ def min_radius_for_root(
 ):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    balls = _BallCache(D)
-    radius, cover, witness = _search_root(g, D, r, k, balls)
+    radius, cover, witness = _search_root(g, D, r, k)
     if debug_scan:
         outcomes = scan_root(g, D, r, k)
         first = outcomes.index(True)
@@ -261,11 +236,13 @@ def best_root(
     With pruning on, a root is abandoned once its bracket proves it cannot
     beat the incumbent -- also accounting for ids, so ties still resolve
     exactly as in the unpruned search.  Thread count never changes the
-    result, only the schedule.
+    result, only the schedule.  Beyond ``D`` the search holds no n x n
+    state: the incumbent is all the threads share.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    balls = _BallCache(D)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     incumbent = _Incumbent()
 
     def run_root(r: int) -> None:
@@ -284,7 +261,7 @@ def best_root(
             snap = incumbent.snapshot
             if snap is not None:
                 first_probe = snap[0] - 1
-        res = _search_root(g, D, r, k, balls, stop_fn, first_probe)
+        res = _search_root(g, D, r, k, stop_fn, first_probe)
         if res is not None:
             radius, cover, witness = res
             incumbent.offer(radius, r, (radius, r, cover, witness))

@@ -39,6 +39,10 @@ class SolveOptions:
     delta_max_vertices: int = DELTA_VERTEX_CAP
     best_effort: bool = False
 
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
-from kgc import Graph, SplitMix64, random_connected, random_tree
+import numpy as np
+
+from kgc import (
+    DistanceMatrix,
+    Graph,
+    RootedOutcome,
+    SplitMix64,
+    random_connected,
+    random_tree,
+    shortest_path,
+)
 
 
 def small_graph_corpus(count: int, max_n: int, seed: int, max_m: int | None = None):
@@ -52,3 +63,48 @@ def naive_family_eccentricity(D, paths) -> int:
 
 def graph_key(g: Graph):
     return (g.n, tuple(g.edges()))
+
+
+def reference_apsp(g: Graph) -> DistanceMatrix:
+    """Reference hop distances: one plain Python BFS per source."""
+    n = g.n
+    d = np.full((n, n), -1, dtype=np.int32)
+    for s in range(n):
+        row = d[s]
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adjacency[u]:
+                if row[w] < 0:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+    d.setflags(write=False)
+    return DistanceMatrix(n=n, d=d)
+
+
+def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
+    """Reference greedy on full n x n matrices: ``aligned[a, b]`` is true
+    when a and b lie on a common geodesic through r, ``ball[a, b]`` when
+    d(a, b) <= radius, and a pick v kills every u whose ball meets a vertex
+    aligned with v's ball.  Builds a geodesic at every pick."""
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    d = D.d
+    dr = d[r].astype(np.int64)
+    aligned = d == np.abs(dr[:, None] - dr[None, :])
+    ball = d <= radius
+    alive = np.ones(g.n, dtype=bool)
+    picks, sigmas = [], []
+    while alive.any() and len(picks) < 2 * k:
+        v = int(np.where(alive, dr, -1).argmax())
+        picks.append(v)
+        sigmas.append(shortest_path(g, D, r, v))
+        if len(picks) == 2 * k:
+            break
+        near_geodesic = (aligned & ball[v][None, :]).any(axis=1)
+        killed = (ball & near_geodesic[None, :]).any(axis=1)
+        alive &= ~killed
+    if len(picks) == 2 * k:
+        return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
+    return RootedOutcome(cover=tuple(sigmas), packing=None)

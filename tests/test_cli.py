@@ -249,6 +249,16 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     assert args.threads == 1
 
 
+def test_solve_rejects_threads_below_one(tmp_path, capsys):
+    gpath = write_graph(tmp_path, path_graph(5), "p5.txt")
+    for threads in ("0", "-3"):
+        code, out, err = run_cli(capsys, "solve", "-g", gpath, "-k", "1",
+                                 "--threads", threads)
+        assert code == 1
+        assert out == ""
+        assert "threads must be >= 1" in err
+
+
 def test_unknown_command_exit_one(capsys):
     code = main(["frobnicate"])
     assert code == 1

@@ -23,8 +23,11 @@ from kgc import (
     star_graph,
     subdivide,
 )
+import numpy as np
+
+from kgc import graph_core
 from kgc.graph_core import biconnected_blocks
-from conftest import naive_delta_doubled, small_graph_corpus
+from conftest import naive_delta_doubled, reference_apsp, small_graph_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,48 @@ def test_apsp_examples():
     D = apsp(cycle_graph(4))
     assert D.dist(0, 2) == 2 and D.dist(0, 1) == 1
     assert apsp(grid_graph(3, 3)).dist(0, 8) == 4
+
+
+def _apsp_corpus():
+    graphs = [
+        path_graph(1),
+        path_graph(2),
+        star_graph(40),  # the centre has more edges than a 32-cell slice
+        Graph.from_edges(12, [(u, v) for u in range(12) for v in range(u + 1, 12)]),
+        grid_graph(7, 5),
+        subdivide(star_graph(4), 3),
+        subdivide(cycle_graph(5), 4),
+        subdivide(grid_graph(3, 3), 2),
+    ]
+    rng = SplitMix64(77)
+    for _ in range(200):
+        n = 2 + rng.below(30)
+        m = (n - 1) + rng.below(n * (n - 1) // 2 - (n - 1) + 1)
+        graphs.append(random_connected(n, m, rng.next_u64()))
+    return graphs
+
+
+def _assert_apsp_matches_reference(g):
+    D = apsp(g)
+    assert D.n == g.n
+    assert D.d.dtype == np.int32
+    assert not D.d.flags.writeable
+    assert np.array_equal(D.d, reference_apsp(g).d)
+
+
+def test_apsp_matches_reference_bfs():
+    # the path has hundreds of BFS levels; the dense graph's levels span
+    # many expansion slices
+    for g in [*_apsp_corpus(), path_graph(700), random_connected(120, 2500, 5)]:
+        _assert_apsp_matches_reference(g)
+
+
+def test_apsp_matches_reference_bfs_in_tiny_slices(monkeypatch):
+    # slices of 32 cells: many pieces per level, and vertices with more
+    # edges than a slice holds
+    monkeypatch.setattr(graph_core, "_APSP_SLICE", 32)
+    for g in _apsp_corpus():
+        _assert_apsp_matches_reference(g)
 
 
 def test_distance_matrix_axioms():

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
+
+import kgc.rooted_cover
 
 from kgc import (
     SplitMix64,
@@ -21,7 +25,7 @@ from kgc import (
     tau_hat_from_delta,
     verify_packing,
 )
-from conftest import small_graph_corpus
+from conftest import reference_cover_or_packing, small_graph_corpus, tree_corpus
 
 
 def linear_best(g, D, k):
@@ -216,3 +220,64 @@ def test_cover_or_packing_rejects_bad_k():
         cover_or_packing(g, D, 0, 1, 0)
     with pytest.raises(ValueError):
         best_root(g, D, 5)
+
+
+def _differential_corpus():
+    return [
+        *tree_corpus(6, 8, 30, seed=171),
+        *small_graph_corpus(8, 18, seed=172, max_m=26),
+        grid_graph(4, 4),
+        grid_graph(5, 2),
+        cycle_graph(7),
+        cycle_graph(10),
+    ]
+
+
+def test_cover_or_packing_matches_reference():
+    # every root, radius and k: the row-restricted kill sets and the lazy
+    # geodesics give exactly the outcome of the full-matrix greedy
+    for g in _differential_corpus():
+        D = apsp(g)
+        diam = int(D.d.max())
+        for r in range(g.n):
+            for radius in range(diam + 1):
+                for k in range(1, min(4, g.n) + 1):
+                    expected = reference_cover_or_packing(g, D, r, radius, k)
+                    assert cover_or_packing(g, D, r, radius, k) == expected
+
+
+def test_best_root_matches_reference_kernel(monkeypatch):
+    corpus = _differential_corpus()
+    expected = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(kgc.rooted_cover, "cover_or_packing", reference_cover_or_packing)
+        for i, g in enumerate(corpus):
+            D = apsp(g)
+            for k in (1, 2, 3):
+                expected[i, k] = best_root(g, D, k, prune=False)
+    for i, g in enumerate(corpus):
+        D = apsp(g)
+        for k in (1, 2, 3):
+            assert best_root(g, D, k, prune=False) == expected[i, k]
+            assert best_root(g, D, k, threads=4) == expected[i, k]
+
+
+def test_best_root_allocates_no_square_matrices():
+    # per-root or per-radius n x n temporaries would push the peak past D
+    g = random_tree(700, 3)
+    D = apsp(g)
+    tracemalloc.start()
+    try:
+        best_root(g, D, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * D.d.nbytes
+
+
+def test_best_root_rejects_bad_threads():
+    g = path_graph(4)
+    D = apsp(g)
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            best_root(g, D, 1, threads=threads)

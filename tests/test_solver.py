@@ -80,6 +80,12 @@ def test_solve_rejects_bad_k():
         solve(g, 5)
 
 
+def test_solve_options_reject_threads_below_one():
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            SolveOptions(threads=threads)
+
+
 def test_profile_shape():
     res = solve(star_graph(5), 2)
     profile = build_profile(res.rooted, 2)
