@@ -46,10 +46,12 @@ _DELTA_CAP_HELP = (
 
 
 def _default_threads() -> int:
+    """``KGC_THREADS`` as given (values below 1 fail in the solver, as
+    ``--threads`` does); 1 when unset or not an integer."""
     env = os.environ.get("KGC_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             pass
     return 1

@@ -29,11 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import DistanceMatrix, Graph
-from .geodesics import (
-    VertexPath,
-    exists_covering_rpath,
-    shortest_path,
-)
+from .geodesics import VertexPath, shortest_path
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +74,16 @@ class RootedSolution:
         }
 
 
+def _aligned_with_ball(d: np.ndarray, dr: np.ndarray, v: int, radius: int) -> np.ndarray:
+    """Boolean vector of the vertices a aligned with some b in v's
+    radius-ball on a geodesic through the root r, whose distance row is
+    ``dr``: d(a,b) = |d(r,a) - d(r,b)|."""
+    bv = (d[v] <= radius).nonzero()[0]
+    gap = dr[bv, None] - dr[None, :]
+    np.abs(gap, out=gap)
+    return np.logical_or.reduce(gap == d[bv], axis=0)
+
+
 def cover_or_packing(
     g: Graph, D: DistanceMatrix, r: int, radius: int, k: int
 ) -> RootedOutcome:
@@ -91,8 +97,9 @@ def cover_or_packing(
     Each pick's kill set is built from the rows of ``D`` it touches, never
     an n x n matrix: the pick's ball ``bv``, then the vertices a aligned
     with some b in ``bv`` on a geodesic through r (d(a,b) = |d(r,a) -
-    d(r,b)|), then everything within ``radius`` of one of those.  The
-    canonical geodesics are built only when the greedy exits with a cover.
+    d(r,b)|), then everything within ``radius`` of one of those (at radius
+    0 that is the aligned set itself).  The canonical geodesics are built
+    only when the greedy exits with a cover.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
@@ -109,11 +116,11 @@ def cover_or_packing(
             # 2k picks: a packing, whatever the kill set.  Or r is in v's
             # ball and aligned with every vertex, so all die: a cover.
             break
-        bv = (d[v] <= radius).nonzero()[0]
-        gap = dr[bv, None] - dr[None, :]
-        np.abs(gap, out=gap)
-        near = np.logical_or.reduce(gap == d[bv], axis=0)  # holds v itself
-        score[np.minimum.reduce(d[near], axis=0) <= radius] = -1
+        if radius == 0:  # balls are single vertices: v's aligned set dies
+            score[d[v] == np.abs(dr - dr[v])] = -1
+        else:
+            near = _aligned_with_ball(d, dr, v, radius)  # holds v itself
+            score[np.minimum.reduce(d[near], axis=0) <= radius] = -1
     if len(picks) == 2 * k:
         return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
     cover = tuple(shortest_path(g, D, r, v) for v in picks)
@@ -123,12 +130,19 @@ def cover_or_packing(
 def verify_packing(
     g: Graph, D: DistanceMatrix, r: int, radius: int, vertices
 ) -> bool:
-    """True iff no single r-path's radius-ball reaches two of the vertices."""
+    """True iff no single r-path's radius-ball reaches two of the vertices.
+
+    One check per member x, not per pair: some r-path comes within
+    ``radius`` of x and of a later member y exactly when y's ball meets the
+    vertices aligned with x's ball (the reduction in ``geodesics``).
+    """
+    d = D.d
+    dr = d[r]
     members = sorted(set(vertices))
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            if exists_covering_rpath(g, D, r, x, y, radius):
-                return False
+    for i, x in enumerate(members[:-1]):
+        near = _aligned_with_ball(d, dr, x, radius)
+        if (d[members[i + 1 :]][:, near] <= radius).any():
+            return False
     return True
 
 

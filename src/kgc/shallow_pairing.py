@@ -77,14 +77,24 @@ def pairing_graph(
     return adj
 
 
-def _max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
+def _max_matching(adj: Sequence[Sequence[int]], *, perfect: bool = False) -> list[int] | None:
     """Maximum-cardinality matching on a general graph (blossom contraction).
 
-    Deterministic: scan order follows vertex ids and the given adjacency
-    order.  Returns mate[v] (-1 if unmatched).
+    Deterministic: starts from a greedy matching in vertex-id order, then
+    augments from each exposed vertex in id order, scanning the given
+    adjacency order.  Returns mate[v] (-1 if unmatched).  With ``perfect``
+    it returns None at the first exposed vertex that has no augmenting
+    path: such a vertex stays exposed in a maximum matching (Edmonds 1965),
+    so no perfect matching exists.
     """
     n = len(adj)
     match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for to in adj[v]:
+                if match[to] == -1:
+                    match[v], match[to] = to, v
+                    break
 
     def try_augment(root: int) -> bool:
         used = [False] * n
@@ -148,20 +158,25 @@ def _max_matching(adj: Sequence[Sequence[int]]) -> list[int]:
         return False
 
     for v in range(n):
-        if match[v] == -1:
-            try_augment(v)
+        if match[v] == -1 and not try_augment(v) and perfect:
+            return None
     return match
 
 
-def _has_perfect_matching(H: np.ndarray, active: Sequence[int]) -> bool:
+def _neighbours(H: np.ndarray) -> list[list[int]]:
+    """Adjacency lists of a boolean position graph, ascending, no self-loops."""
+    off = H & ~np.eye(len(H), dtype=bool)
+    cols = off.nonzero()[1].tolist()  # row-major: row by row, ascending
+    ends = np.count_nonzero(off, axis=1).cumsum().tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _has_perfect_matching(nbrs: Sequence[Sequence[int]], active: Sequence[int]) -> bool:
     if len(active) % 2 != 0:
         return False
-    if not active:
-        return True
     index = {v: i for i, v in enumerate(active)}
-    adj = [[index[w] for w in active if w != v and H[v, w]] for v in active]
-    mate = _max_matching(adj)
-    return all(x != -1 for x in mate)
+    adj = [[index[w] for w in nbrs[v] if w in index] for v in active]
+    return _max_matching(adj, perfect=True) is not None
 
 
 def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
@@ -172,17 +187,18 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     then extracted by fixing, for the lowest free position, the smallest
     partner that keeps the rest matchable.
     """
-    size = int(H.shape[0])
-    remaining = list(range(size))
-    if not _has_perfect_matching(H, remaining):
+    nbrs = _neighbours(H)
+    remaining = list(range(len(nbrs)))
+    if not _has_perfect_matching(nbrs, remaining):
         return None
     pairs: list[tuple[int, int]] = []
     while remaining:
         i = remaining[0]
-        for j in remaining[1:]:
-            if H[i, j]:
+        free = set(remaining)
+        for j in nbrs[i]:
+            if j in free:
                 rest = [v for v in remaining if v != i and v != j]
-                if _has_perfect_matching(H, rest):
+                if _has_perfect_matching(nbrs, rest):
                     pairs.append((i, j))
                     remaining = rest
                     break
@@ -198,20 +214,46 @@ def _pairing_from_positions(
     return Pairing(apex=apex, gamma=gamma, pairs=tuple(pairs))
 
 
+# Stands in for the excluded (i, i) products: above every real product (at
+# most 2(n-1)), so no position is ever paired with itself.
+_NO_PAIR = np.iinfo(np.int32).max
+
+
+def _apex_products(D: DistanceMatrix, pi: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """The doubled Gromov products (pi[i]|pi[j])_v as an int32 (i, j, v)
+    tensor with the diagonal excluded, and per apex v the least doubled
+    gamma at which no position of the pairing graph is isolated."""
+    _check_profile(pi)
+    members = np.asarray(pi, dtype=np.int64)
+    dv = D.d[members, :]  # 2k x n
+    cross = D.d[np.ix_(members, members)]
+    prod = dv[:, None, :] + dv[None, :, :] - cross[:, :, None]
+    positions = np.arange(len(members))
+    prod[positions, positions, :] = _NO_PAIR
+    return prod, prod.min(axis=1).max(axis=0)
+
+
+def _first_apex_pairing(
+    pi: Profile, prod: np.ndarray, need: np.ndarray, gamma: HalfInteger
+) -> Pairing | None:
+    """First apex (in id order) whose pairing graph at ``gamma`` has a perfect
+    matching, with the least such matching.  Only apexes that leave no
+    position isolated are tried, and only the winner's matching is built."""
+    limit = min(max(gamma.doubled, -1), _NO_PAIR - 1)
+    for v in (need <= limit).nonzero()[0].tolist():
+        H = prod[:, :, v] <= limit
+        if _max_matching(_neighbours(H), perfect=True) is not None:
+            return _pairing_from_positions(pi, v, gamma, perfect_matching(H))
+    return None
+
+
 def find_shallow_pairing(
     D: DistanceMatrix, pi: Profile, gamma: HalfInteger
 ) -> Pairing | None:
     """First vertex (in id order) whose pairing graph at ``gamma`` has a
     perfect matching, together with that matching; None if no vertex works."""
-    _check_profile(pi)
-    for v in range(D.n):
-        H = pairing_graph(D, v, pi, gamma)
-        if not H.any(axis=1).all():  # some position isolated: no matching
-            continue
-        matched = perfect_matching(H)
-        if matched is not None:
-            return _pairing_from_positions(pi, v, gamma, matched)
-    return None
+    prod, need = _apex_products(D, pi)
+    return _first_apex_pairing(pi, prod, need, gamma)
 
 
 def min_gamma_pairing(D: DistanceMatrix, pi: Profile) -> Pairing:
@@ -219,18 +261,14 @@ def min_gamma_pairing(D: DistanceMatrix, pi: Profile) -> Pairing:
     admitting an apex and a perfect matching.
 
     Feasibility only changes at achieved Gromov-product values, so only
-    those are probed; the largest product always succeeds (the pairing
-    graph is then complete at any apex).
+    those are probed, in ascending order; the largest product always
+    succeeds (the pairing graph is then complete at any apex).
     """
-    _check_profile(pi)
-    members = np.asarray(pi, dtype=np.int64)
-    dv = D.d[members, :].astype(np.int64)  # 2k x n
-    cross = D.d[np.ix_(members, members)].astype(np.int64)
-    prod = dv[:, None, :] + dv[None, :, :] - cross[:, :, None]  # (i, j, v)
-    iu = np.triu_indices(len(members), k=1)
-    candidates = np.unique(prod[iu])
-    for doubled in candidates:
-        pairing = find_shallow_pairing(D, pi, HalfInteger(int(doubled)))
+    prod, need = _apex_products(D, pi)
+    iu = np.triu_indices(len(pi), k=1)
+    achieved = np.bincount(prod[iu].ravel())  # products are >= 0
+    for doubled in achieved.nonzero()[0].tolist():
+        pairing = _first_apex_pairing(pi, prod, need, HalfInteger(doubled))
         if pairing is not None:
             return pairing
     raise AssertionError("unreachable: complete pairing graph at max product")

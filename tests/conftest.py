@@ -108,3 +108,75 @@ def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
     if len(picks) == 2 * k:
         return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
     return RootedOutcome(cover=tuple(sigmas), packing=None)
+
+
+def reference_perfect_matching(H):
+    """Reference least perfect matching: existence by a full maximum
+    matching on every candidate remainder, no early exit."""
+    from kgc.shallow_pairing import _max_matching
+
+    def matchable(active):
+        index = {v: i for i, v in enumerate(active)}
+        adj = [[index[w] for w in active if w != v and H[v, w]] for v in active]
+        return all(m != -1 for m in _max_matching(adj))
+
+    remaining = list(range(H.shape[0]))
+    if len(remaining) % 2 or not matchable(remaining):
+        return None
+    pairs = []
+    while remaining:
+        i = remaining[0]
+        for j in remaining[1:]:
+            rest = [v for v in remaining if v not in (i, j)]
+            if H[i, j] and matchable(rest):
+                pairs.append((i, j))
+                remaining = rest
+                break
+    return tuple(pairs)
+
+
+def reference_find_shallow_pairing(D, pi, gamma):
+    """Reference per-apex loop: one pairing graph per vertex in id order,
+    apexes with an isolated position skipped, the rest matched in full."""
+    from kgc import Pairing, pairing_graph
+
+    for v in range(D.n):
+        H = pairing_graph(D, v, pi, gamma)
+        if not H.any(axis=1).all():
+            continue
+        matched = reference_perfect_matching(H)
+        if matched is not None:
+            pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
+            return Pairing(apex=v, gamma=gamma, pairs=tuple(pairs))
+    return None
+
+
+def reference_min_gamma_pairing(D, pi):
+    """Reference shallowest pairing: every achieved product, ascending,
+    through the per-apex loop."""
+    from kgc import HalfInteger
+
+    d = D.d.astype(np.int64)
+    candidates = sorted(
+        {
+            int(d[pi[i], v] + d[pi[j], v] - d[pi[i], pi[j]])
+            for i, j in combinations(range(len(pi)), 2)
+            for v in range(D.n)
+        }
+    )
+    for doubled in candidates:
+        pairing = reference_find_shallow_pairing(D, pi, HalfInteger(doubled))
+        if pairing is not None:
+            return pairing
+    raise AssertionError("no pairing at the largest product")
+
+
+def reference_verify_packing(g, D, r, radius, vertices) -> bool:
+    """Reference packing check: the covering-path test on every pair."""
+    from kgc import exists_covering_rpath
+
+    members = sorted(set(vertices))
+    return not any(
+        exists_covering_rpath(g, D, r, x, y, radius)
+        for x, y in combinations(members, 2)
+    )

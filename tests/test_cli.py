@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 from kgc import (
+    apsp,
     cycle_graph,
+    exists_covering_rpath,
     load_graph,
     path_graph,
     random_tree,
@@ -204,6 +206,28 @@ def test_verify_rejects_witness_radius_off_rooted(tmp_path, capsys):
     assert report["packing"]["shape_ok"] is False
 
 
+def test_verify_rejects_witness_member_in_first_kill_set(tmp_path, capsys):
+    g = random_tree(30, 7)
+    D = apsp(g)
+
+    def swap_in_killed(data):
+        rooted = data["rooted"]
+        vertices = rooted["packing_witness"]["vertices"]
+        radius = rooted["packing_witness"]["R"]
+        # a vertex that one r-path reaches within R together with the first member
+        killed = [
+            u for u in range(g.n)
+            if u not in vertices
+            and exists_covering_rpath(g, D, rooted["root"], vertices[0], u, radius)
+        ]
+        vertices[-1] = killed[0]
+
+    code, report = _verify_tampered(tmp_path, capsys, g, 2, swap_in_killed)
+    assert code == 1
+    assert report["packing"]["shape_ok"] is True
+    assert report["packing"]["ok"] is False
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     gpath = write_graph(tmp_path, star_graph(5), "star5.txt")
     _, out1, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "2")
@@ -254,6 +278,16 @@ def test_solve_rejects_threads_below_one(tmp_path, capsys):
     for threads in ("0", "-3"):
         code, out, err = run_cli(capsys, "solve", "-g", gpath, "-k", "1",
                                  "--threads", threads)
+        assert code == 1
+        assert out == ""
+        assert "threads must be >= 1" in err
+
+
+def test_threads_env_below_one_exits_one(tmp_path, capsys, monkeypatch):
+    gpath = write_graph(tmp_path, path_graph(5), "p5.txt")
+    for threads in ("0", "-2"):
+        monkeypatch.setenv("KGC_THREADS", threads)
+        code, out, err = run_cli(capsys, "solve", "-g", gpath, "-k", "1")
         assert code == 1
         assert out == ""
         assert "threads must be >= 1" in err

@@ -25,7 +25,12 @@ from kgc import (
     tau_hat_from_delta,
     verify_packing,
 )
-from conftest import reference_cover_or_packing, small_graph_corpus, tree_corpus
+from conftest import (
+    reference_cover_or_packing,
+    reference_verify_packing,
+    small_graph_corpus,
+    tree_corpus,
+)
 
 
 def linear_best(g, D, k):
@@ -281,3 +286,27 @@ def test_best_root_rejects_bad_threads():
     for threads in (0, -2):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             best_root(g, D, 1, threads=threads)
+
+
+def test_verify_packing_matches_pairwise_reference():
+    # one check per member against the covering-path test on every pair:
+    # greedy packings, random sets, duplicates, empty and one-member sets
+    rng = SplitMix64(5353)
+    outcomes = {True: 0, False: 0}
+    for g in _differential_corpus():
+        D = apsp(g)
+        for r in range(0, g.n, 3):
+            for radius in range(4):
+                sets = [(), (rng.below(g.n),), (r, r)]
+                for k in (1, 2, 3):
+                    packing = cover_or_packing(g, D, r, radius, min(k, g.n)).packing
+                    if packing is not None:
+                        sets += [packing, packing + packing[-1:], packing[1:]]
+                for size in (2, 3, 5):
+                    drawn = tuple(rng.below(g.n) for _ in range(size))
+                    sets += [drawn, drawn + drawn[:1]]
+                for vertices in sets:
+                    expected = reference_verify_packing(g, D, r, radius, vertices)
+                    assert verify_packing(g, D, r, radius, vertices) == expected
+                    outcomes[expected] += 1
+    assert min(outcomes.values()) >= 200

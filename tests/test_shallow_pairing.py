@@ -7,6 +7,7 @@ from kgc import (
     HalfInteger,
     SplitMix64,
     apsp,
+    best_root,
     cycle_graph,
     fiber,
     find_shallow_pairing,
@@ -18,13 +19,22 @@ from kgc import (
     paths_of_pairing,
     path_graph,
     perfect_matching,
+    random_connected,
     random_tree,
     star_graph,
     tau_hat_from_delta,
     total_distance,
 )
+import conftest
+import kgc.shallow_pairing
 from kgc.shallow_pairing import _max_matching
-from conftest import small_graph_corpus
+from kgc.solver import build_profile
+from conftest import (
+    reference_find_shallow_pairing,
+    reference_min_gamma_pairing,
+    small_graph_corpus,
+    tree_corpus,
+)
 
 
 def all_pairings(positions):
@@ -359,3 +369,154 @@ def test_profile_validation():
         find_shallow_pairing(D, (0,), HalfInteger(0))
     with pytest.raises(ValueError):
         min_gamma_pairing(D, (0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Apex screen and early-exit matching against the reference loop
+# ---------------------------------------------------------------------------
+
+
+def _profiles(rng, n, k):
+    """A padded profile (a root, up to 2k-1 endpoints, copies of the root,
+    as the solver builds it) and a random profile with repeats."""
+    root = rng.below(n)
+    ends = [rng.below(n) for _ in range(rng.below(2 * k))]
+    padded = (root, *ends, *([root] * (2 * k - 1 - len(ends))))
+    return padded, tuple(rng.below(n) for _ in range(2 * k))
+
+
+def _pairing_corpus():
+    return [
+        *tree_corpus(4, 8, 30, seed=301),
+        *small_graph_corpus(10, 24, seed=302, max_m=30),  # sparse cyclic
+        *small_graph_corpus(5, 14, seed=303),  # up to complete
+        random_connected(40, 48, 304),
+        random_connected(60, 75, 305),
+        cycle_graph(9),
+        cycle_graph(16),
+    ]
+
+
+def test_min_gamma_pairing_matches_reference():
+    rng = SplitMix64(3030)
+    positive = 0
+    for g in _pairing_corpus():
+        D = apsp(g)
+        for k in sorted({1, 2, 3, 5, min(24, g.n), 1 + rng.below(24)}):
+            for pi in _profiles(rng, g.n, k):
+                expected = reference_min_gamma_pairing(D, pi)
+                assert min_gamma_pairing(D, pi) == expected
+                positive += expected.gamma.doubled > 0
+    assert positive >= 20
+
+
+def test_find_shallow_pairing_matches_reference():
+    rng = SplitMix64(3131)
+    found = missing = 0
+    for g in _pairing_corpus():
+        D = apsp(g)
+        for k in (1, 2, 4, 7):
+            for pi in _profiles(rng, g.n, k):
+                for doubled in (-1, 0, 1, 2, 3, 5, 2**40):
+                    gamma = HalfInteger(doubled)
+                    expected = reference_find_shallow_pairing(D, pi, gamma)
+                    assert find_shallow_pairing(D, pi, gamma) == expected
+                    found += expected is not None
+                    missing += expected is None
+    assert found >= 100 and missing >= 100
+
+
+def _brute_max_matching_size(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    memo = {}
+
+    def best(mask):
+        if mask == 0:
+            return 0
+        if mask not in memo:
+            v = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << v)
+            out = best(rest)
+            options = adj[v] & rest
+            while options:
+                w = (options & -options).bit_length() - 1
+                options &= options - 1
+                out = max(out, 1 + best(rest & ~(1 << w)))
+            memo[mask] = out
+        return memo[mask]
+
+    return best((1 << n) - 1)
+
+
+def test_matching_early_exit_matches_brute_force():
+    rng = SplitMix64(7070)
+    perfect = imperfect = 0
+    for trial in range(2000):
+        n = 1 + rng.below(10)
+        edges = set()
+        cycle = 3 + 2 * rng.below(4)  # odd cycles of length 3..9 force blossoms
+        if cycle <= n:
+            ring = list(range(n))
+            rng.shuffle(ring)
+            ring = ring[:cycle]
+            edges |= {tuple(sorted((ring[i], ring[i - 1]))) for i in range(cycle)}
+        density = rng.below(60)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.below(100) < density:
+                    edges.add((a, b))
+        adj = [[] for _ in range(n)]
+        for a, b in sorted(edges):
+            adj[a].append(b)
+            adj[b].append(a)
+        size = _brute_max_matching_size(n, edges)
+        mate = _max_matching(adj)
+        assert all(mate[mate[v]] == v and mate[v] in adj[v] for v in range(n) if mate[v] != -1)
+        assert sum(m != -1 for m in mate) == 2 * size
+        exists = _max_matching(adj, perfect=True) is not None
+        assert exists == (2 * size == n)
+        perfect += exists
+        imperfect += not exists
+    assert perfect >= 300 and imperfect >= 300
+
+
+def test_min_gamma_pairing_screens_before_matching(monkeypatch):
+    # work guard: only apexes with no isolated position reach the matching
+    # code (every apex graph passes through _neighbours), and only the
+    # winning apex reaches perfect_matching
+    for seed in (1, 3, 5):
+        g = random_connected(120, 144, seed)
+        D = apsp(g)
+        pi = build_profile(best_root(g, D, 9), 9)
+
+        parent_calls = []
+        reference = conftest.reference_perfect_matching
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                conftest,
+                "reference_perfect_matching",
+                lambda H: parent_calls.append(H) or reference(H),
+            )
+            expected = reference_min_gamma_pairing(D, pi)
+
+        calls, graphs = [], []
+        matcher = kgc.shallow_pairing.perfect_matching
+        neighbours = kgc.shallow_pairing._neighbours
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                kgc.shallow_pairing,
+                "perfect_matching",
+                lambda H: calls.append(H) or matcher(H),
+            )
+            patch.setattr(
+                kgc.shallow_pairing,
+                "_neighbours",
+                lambda H: graphs.append(H) or neighbours(H),
+            )
+            assert min_gamma_pairing(D, pi) == expected
+        assert graphs and all(H.any(axis=1).all() for H in graphs)
+        assert len(graphs) == len(parent_calls) + 1  # the winner's extraction
+        assert len(calls) == 1 < len(parent_calls)
