@@ -44,6 +44,12 @@ _DELTA_CAP_HELP = (
     "a larger block exits 2"
 )
 
+_THREADS_HELP = (
+    "accepted for compatibility, must be >= 1 (default: KGC_THREADS or 1); "
+    "the root search is one batched single-threaded schedule, and this "
+    "option changes neither its output nor its schedule"
+)
+
 
 def _default_threads() -> int:
     """``KGC_THREADS`` as given (values below 1 fail in the solver, as
@@ -140,8 +146,9 @@ def cmd_verify(args) -> int:
     if paths is not None:
         paths = [tuple(int(v) for v in p) for p in paths]
         within_k = k is None or len(paths) <= k
-        isometric = all(is_isometric(D, p) for p in paths)
-        ecc = family_eccentricity(g, paths) if paths else None
+        in_range = all(0 <= v < g.n for p in paths for v in p)
+        isometric = in_range and all(is_isometric(D, p) for p in paths)
+        ecc = family_eccentricity(g, paths) if paths and in_range else None
         cover_ok = within_k and isometric and ecc is not None and ecc <= args.radius
         report["cover"] = {
             "paths": len(paths),
@@ -164,9 +171,13 @@ def cmd_verify(args) -> int:
         vertices = [int(v) for v in witness["vertices"]]
         # with k known, the witness must be the 2k-vertex packing one step
         # below the rooted radius, or it does not show that radius is least
-        shape_ok = k is None or (
-            len(set(vertices)) == len(vertices) == 2 * k
-            and witness_radius == int(rooted["R"]) - 1
+        in_range = all(0 <= v < g.n for v in (root, *vertices))
+        shape_ok = in_range and (
+            k is None
+            or (
+                len(set(vertices)) == len(vertices) == 2 * k
+                and witness_radius == int(rooted["R"]) - 1
+            )
         )
         packing_ok = shape_ok and verify_packing(g, D, root, witness_radius, vertices)
         report["packing"] = {
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed pairing shallowness (doubled); default adaptive")
     p.add_argument("--tau-hat-doubled", type=int, default=None,
                    help="supplied thinness bound (doubled); default computed")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
     p.add_argument("--no-prune", action="store_true",
                    help="disable incumbent pruning across roots")
     p.add_argument("--best-effort", action="store_true",
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma-separated sizes")
     p.add_argument("-k", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
     p.add_argument("--tau-hat-doubled", type=int, default=None)
     p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
                    help=_DELTA_CAP_HELP)

@@ -17,13 +17,15 @@ makes the per-root binary search sound without assuming the greedy is
 monotone in R: the packing found just below the returned radius
 certifies that every smaller radius fails, for this root and for the
 best root overall.
+
+One kernel, ``_Greedy``, runs the greedy from one root or from many in
+lockstep; ``best_root`` uses the batch to refute the roots that cannot
+beat the incumbent, and the one-root call for every binary search.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +76,12 @@ class RootedSolution:
         }
 
 
+
+_CELLS = 1 << 16  # cells in any one score, kill or alignment temporary
+_FIRST_CHUNK = 4  # roots probed together after a cover; doubles up to the budget
+_BALL_RADII = 16  # packed ball matrices kept at once, n*n/8 bytes each
+
+
 def _aligned_with_ball(d: np.ndarray, dr: np.ndarray, v: int, radius: int) -> np.ndarray:
     """Boolean vector of the vertices a aligned with some b in v's
     radius-ball on a geodesic through the root r, whose distance row is
@@ -84,47 +92,152 @@ def _aligned_with_ball(d: np.ndarray, dr: np.ndarray, v: int, radius: int) -> np
     return np.logical_or.reduce(gap == d[bv], axis=0)
 
 
+def _slices(total: int, width: int):
+    """Consecutive slices of ``total`` rows of ``width`` cells each, at most
+    ``_CELLS`` cells a slice (one row where a row alone is wider)."""
+    step = max(1, _CELLS // width)
+    for lo in range(0, total, step):
+        yield slice(lo, lo + step)
+
+
+def _or_into(out: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
+    """OR each row of ``block`` into ``out[rows[i]]``; ``rows`` is sorted.
+    Both are bool or byte rows padded to whole 64-bit words, so the OR
+    runs on words."""
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    words = np.bitwise_or.reduceat(block.view(np.uint64), starts, axis=0)
+    out.view(np.uint64)[rows[starts]] |= words
+
+
+class _Greedy:
+    """The cover-or-packing greedy from many roots in lockstep, over one D.
+
+    A ``roots x n`` score matrix holds each root's distance to every alive
+    vertex plus one, 0 once killed.  One row-wise argmax per step gives every
+    running root its farthest alive vertex (ties to the lowest id), then
+    the kill rows of all of them are built at once.  Callers pass at most
+    ``max_roots()`` roots, so score and kill rows stay under ``_CELLS``
+    cells, and the per-member rows of a kill are sliced to the same budget.
+    Distances are read from an int16 copy of ``D`` (half its bytes) when
+    they fit, which halves the memory traffic of the kill rows.
+    """
+
+    def __init__(self, D: DistanceMatrix):
+        self.d = D.d.astype(np.int16) if D.n < 2**15 else D.d
+        self.n = D.n
+        self.pad = (D.n + 63) // 64 * 64  # row width of bool and bit rows
+        self._bits: dict[int, np.ndarray] = {}
+
+    def max_roots(self) -> int:
+        return max(1, _CELLS // self.n)
+
+    def ball_bits(self, radius: int) -> np.ndarray:
+        """Rows of ``D <= radius`` packed eight vertices a byte, built once
+        per radius (the oldest of ``_BALL_RADII`` radii is dropped)."""
+        bits = self._bits.get(radius)
+        if bits is None:
+            if len(self._bits) == _BALL_RADII:
+                del self._bits[next(iter(self._bits))]
+            bits = np.zeros((self.n, self.pad // 8), dtype=np.uint8)
+            for part in _slices(self.n, self.n):
+                packed = np.packbits(self.d[part] <= radius, axis=1)
+                bits[part, : packed.shape[1]] = packed
+            self._bits[radius] = bits
+        return bits
+
+    def _survivors(self, dr: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
+        """Rows of the vertices that survive the picks ``v`` at radius > 0:
+        row i kills every vertex whose ball meets a vertex a aligned,
+        through row i's root (distance row ``dr[i]``), with some b in v[i]'s
+        ball: d(a,b) = |d(r,a) - d(r,b)|."""
+        d, n = self.d, self.n
+        rows, members = (d[v] <= radius).nonzero()
+        near = np.zeros((v.size, self.pad), dtype=bool)
+        for part in _slices(rows.size, self.pad):
+            at, b = rows[part], members[part]
+            gap = dr[at]
+            gap -= dr[at, b][:, None]
+            np.abs(gap, out=gap)
+            aligned = np.zeros((at.size, self.pad), dtype=bool)
+            np.equal(gap, d[b], out=aligned[:, :n])
+            _or_into(near, at, aligned)
+        bits = self.ball_bits(radius)
+        rows, members = near.nonzero()
+        killed = np.zeros((v.size, bits.shape[1]), dtype=np.uint8)
+        for part in _slices(rows.size, bits.shape[1]):
+            _or_into(killed, rows[part], bits[members[part]])
+        return np.unpackbits(~killed, axis=1, count=n).view(bool)
+
+    def run(self, roots, radius: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """One greedy run per root at (radius, k): a boolean per root, true
+        for a cover, and each root's picks in pick order.
+
+        If the 2k-th pick happens the run is a packing even when that pick
+        emptied the graph.  A pick within ``radius`` of the root ends the
+        run as a cover: the root is aligned with every vertex, so all die.
+        """
+        d = self.d
+        m = len(roots)
+        covered = np.zeros(m, dtype=bool)
+        picks = np.zeros((m, 2 * k), dtype=np.int64)
+        length = np.full(m, 2 * k)
+        live = np.arange(m)  # input position of each running row
+        dr = d[roots]
+        score = dr.astype(np.int32)  # distance from the root plus one while
+        score += 1  # alive, 0 once killed; int32 rows take the fast argmax
+        for step in range(2 * k):
+            v = score.argmax(axis=1)  # argmax takes the lowest id
+            at = np.arange(v.size)
+            alive = score[at, v] > 0
+            picks[live, step] = v
+            if step == 2 * k - 1:
+                covered[live[~alive]] = True
+                length[live[~alive]] = step
+                break
+            stop = ~alive | (dr[at, v] <= radius)
+            if stop.any():
+                covered[live[stop]] = True
+                length[live[stop]] = step + alive[stop]
+                keep = ~stop
+                live, v, dr, score = live[keep], v[keep], dr[keep], score[keep]
+                if not live.size:
+                    break
+                at = np.arange(v.size)
+            if radius == 0:  # balls are single vertices: v's aligned set dies
+                gap = dr - dr[at, v][:, None]
+                np.abs(gap, out=gap)
+                score *= d[v] != gap
+            else:
+                score *= self._survivors(dr, v, radius)
+        return covered, [tuple(p[:size].tolist()) for p, size in zip(picks, length)]
+
+
+def _outcome(g: Graph, D: DistanceMatrix, r: int, covered: bool, picks) -> RootedOutcome:
+    """The canonical geodesics r -> pick of a cover, or the sorted packing."""
+    if covered:
+        return RootedOutcome(cover=tuple(shortest_path(g, D, r, v) for v in picks), packing=None)
+    return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
+
+
 def cover_or_packing(
-    g: Graph, D: DistanceMatrix, r: int, radius: int, k: int
+    g: Graph, D: DistanceMatrix, r: int, radius: int, k: int, *, greedy: _Greedy | None = None
 ) -> RootedOutcome:
     """One greedy run at (root, radius): a rooted cover of at most 2k-1
     geodesics, or a packing of exactly 2k vertices.
 
-    Farthest-first picks, ties to the smallest id.  If the 2k-th pick
-    happens the packing is returned even when it emptied the graph; the
-    packing is always valid and the cover branch stays below 2k.
-
-    Each pick's kill set is built from the rows of ``D`` it touches, never
-    an n x n matrix: the pick's ball ``bv``, then the vertices a aligned
-    with some b in ``bv`` on a geodesic through r (d(a,b) = |d(r,a) -
-    d(r,b)|), then everything within ``radius`` of one of those (at radius
-    0 that is the aligned set itself).  The canonical geodesics are built
-    only when the greedy exits with a cover.
+    Farthest-first picks, ties to the smallest id; the one-root call of the
+    lockstep kernel ``_Greedy``, whose packed ball rows a caller probing
+    many radii shares through ``greedy``.  The canonical geodesics are
+    built only when the greedy exits with a cover.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    d = D.d
-    dr = d[r]
-    score = dr.copy()  # distance from r while alive, -1 once killed
-    picks: list[int] = []
-    while len(picks) < 2 * k:
-        v = int(score.argmax())  # argmax takes the lowest id
-        if score[v] < 0:
-            break  # everything is killed: cover
-        picks.append(v)
-        if len(picks) == 2 * k or dr[v] <= radius:
-            # 2k picks: a packing, whatever the kill set.  Or r is in v's
-            # ball and aligned with every vertex, so all die: a cover.
-            break
-        if radius == 0:  # balls are single vertices: v's aligned set dies
-            score[d[v] == np.abs(dr - dr[v])] = -1
-        else:
-            near = _aligned_with_ball(d, dr, v, radius)  # holds v itself
-            score[np.minimum.reduce(d[near], axis=0) <= radius] = -1
-    if len(picks) == 2 * k:
-        return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
-    cover = tuple(shortest_path(g, D, r, v) for v in picks)
-    return RootedOutcome(cover=cover, packing=None)
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    if greedy is None:
+        greedy = _Greedy(D)
+    covered, picks = greedy.run([r], radius, k)
+    return _outcome(g, D, r, bool(covered[0]), picks[0])
 
 
 def verify_packing(
@@ -149,44 +262,44 @@ def verify_packing(
 def scan_root(g: Graph, D: DistanceMatrix, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Linear scan diagnostic: greedy outcome (cover?) for each radius 0..upto."""
     limit = g.n if upto is None else upto
-    return [cover_or_packing(g, D, r, radius, k).is_cover for radius in range(limit + 1)]
+    greedy = _Greedy(D)
+    return [
+        cover_or_packing(g, D, r, radius, k, greedy=greedy).is_cover
+        for radius in range(limit + 1)
+    ]
 
 
 def _search_root(
+    greedy: _Greedy,
     g: Graph,
     D: DistanceMatrix,
     r: int,
     k: int,
-    stop_lo=None,
-    first_probe: int | None = None,
+    hi: int | None = None,
+    cover: tuple[VertexPath, ...] | None = None,
 ):
     """Binary search for the least radius at which the greedy covers from r.
 
     Bracket invariant: packing observed at lo (lo = -1 counts vacuously),
     cover observed at hi (hi = n holds a priori: at radius n a single
-    trivial path reaches everything).  Returns (radius, cover, witness),
-    or None when ``stop_lo()`` tells us the root cannot win anymore.
+    trivial path reaches everything).  A caller that has already seen the
+    cover ``cover`` at radius ``hi`` starts from there.  Returns (radius,
+    cover, witness).
     """
-    lo, hi = -1, g.n
-    cover_at_hi: tuple[VertexPath, ...] | None = None
+    lo = -1
+    if hi is None:
+        hi = g.n
+    cover_at_hi = cover
     packing_at_lo: tuple[int, ...] | None = None
     while hi - lo > 1:
-        if stop_lo is not None:
-            threshold = stop_lo()
-            if threshold is not None and lo >= threshold:
-                return None
-        if first_probe is not None and lo < first_probe < hi:
-            mid = first_probe
-        else:
-            mid = (lo + hi) // 2
-        first_probe = None
-        out = cover_or_packing(g, D, r, mid, k)
+        mid = (lo + hi) // 2
+        out = cover_or_packing(g, D, r, mid, k, greedy=greedy)
         if out.is_cover:
             hi, cover_at_hi = mid, out.cover
         else:
             lo, packing_at_lo = mid, out.packing
     if cover_at_hi is None:
-        out = cover_or_packing(g, D, r, hi, k)
+        out = cover_or_packing(g, D, r, hi, k, greedy=greedy)
         cover_at_hi = out.cover
         if cover_at_hi is None:  # pragma: no cover - radius n always covers
             raise AssertionError(f"no cover at radius {hi} from root {r}")
@@ -201,7 +314,7 @@ def min_radius_for_root(
 ):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    radius, cover, witness = _search_root(g, D, r, k)
+    radius, cover, witness = _search_root(_Greedy(D), g, D, r, k)
     if debug_scan:
         outcomes = scan_root(g, D, r, k)
         first = outcomes.index(True)
@@ -219,24 +332,6 @@ def min_radius_for_root(
     return radius, cover, witness
 
 
-class _Incumbent:
-    """Thread-safe (radius, root) minimum with lexicographic replacement."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.snapshot: tuple[int, int] | None = None
-        self._payload = None
-
-    def offer(self, radius: int, root: int, payload) -> None:
-        with self._lock:
-            if self.snapshot is None or (radius, root) < self.snapshot:
-                self.snapshot = (radius, root)
-                self._payload = payload
-
-    def best(self):
-        return self._payload
-
-
 def best_root(
     g: Graph,
     D: DistanceMatrix,
@@ -247,44 +342,47 @@ def best_root(
 ) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
 
-    With pruning on, a root is abandoned once its bracket proves it cannot
-    beat the incumbent -- also accounting for ids, so ties still resolve
-    exactly as in the unpruned search.  Thread count never changes the
-    result, only the schedule.  Beyond ``D`` the search holds no n x n
-    state: the incumbent is all the threads share.
+    With pruning on, root 0 runs its full binary search, and every later
+    root is probed once at one below the incumbent radius: a packing there
+    means it cannot beat the incumbent (a tie loses to the lower id).
+    Those probes run in lockstep, in chunks of consecutive roots that start
+    at ``_FIRST_CHUNK`` and double up to the cell budget.  The lowest
+    covering root of a chunk finishes its own search from that cover and
+    becomes the incumbent; the roots after it are probed again at the new
+    radius, and the chunk size resets.  This is the result and the probe
+    order of a one-root-at-a-time search.  With pruning off, every root
+    runs its full one-root search.
+
+    The search is single-threaded; ``threads`` is validated for
+    compatibility and changes nothing.  Beyond ``D`` it holds an int16
+    copy of it, the packed ball rows of the radii it probes (n*n/8 bytes
+    each) and temporaries under the cell budget.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    incumbent = _Incumbent()
-
-    def run_root(r: int) -> None:
-        stop_fn = None
-        first_probe = None
-        if prune:
-
-            def stop_fn() -> int | None:
-                snap = incumbent.snapshot
-                if snap is None:
-                    return None
-                radius, holder = snap
-                # larger ids lose ties, so they may stop one step earlier
-                return radius - 1 if r > holder else radius
-
-            snap = incumbent.snapshot
-            if snap is not None:
-                first_probe = snap[0] - 1
-        res = _search_root(g, D, r, k, stop_fn, first_probe)
-        if res is not None:
-            radius, cover, witness = res
-            incumbent.offer(radius, r, (radius, r, cover, witness))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_root, range(g.n)))
-    else:
+    greedy = _Greedy(D)
+    best: RootedSolution | None = None
+    if not prune:
         for r in range(g.n):
-            run_root(r)
-    radius, root, cover, witness = incumbent.best()
-    return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+            radius, cover, witness = _search_root(greedy, g, D, r, k)
+            if best is None or radius < best.radius:
+                best = RootedSolution(root=r, radius=radius, cover=cover, packing_witness=witness)
+        return best
+    radius, cover, witness = _search_root(greedy, g, D, 0, k)
+    best = RootedSolution(root=0, radius=radius, cover=cover, packing_witness=witness)
+    r, size = 1, min(_FIRST_CHUNK, greedy.max_roots())
+    while r < g.n and best.radius > 0:
+        roots = np.arange(r, min(g.n, r + size))
+        covered, picks = greedy.run(roots, best.radius - 1, k)
+        hits = covered.nonzero()[0]
+        if not hits.size:
+            r, size = r + roots.size, min(2 * size, greedy.max_roots())
+            continue
+        root = r + int(hits[0])
+        first = _outcome(g, D, root, True, picks[hits[0]]).cover
+        radius, cover, witness = _search_root(greedy, g, D, root, k, best.radius - 1, first)
+        best = RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+        r, size = root + 1, min(_FIRST_CHUNK, greedy.max_roots())
+    return best

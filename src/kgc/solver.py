@@ -35,7 +35,7 @@ class SolveOptions:
     tau_hat_doubled: int | None = None  # None: compute 4 * four-point delta
     gamma_doubled: int | None = None  # None: adaptive minimum gamma
     prune: bool = True
-    threads: int = 1
+    threads: int = 1  # validated (>= 1) only: the root search is single-threaded
     delta_max_vertices: int = DELTA_VERTEX_CAP
     best_effort: bool = False
 

@@ -10,7 +10,9 @@ import numpy as np
 from kgc import (
     DistanceMatrix,
     Graph,
+    PackingWitness,
     RootedOutcome,
+    RootedSolution,
     SplitMix64,
     random_connected,
     random_tree,
@@ -108,6 +110,48 @@ def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
     if len(picks) == 2 * k:
         return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
     return RootedOutcome(cover=tuple(sigmas), packing=None)
+
+
+def reference_search_root(g, D, r, k, stop_at=None, first_probe=None):
+    """Reference one-root binary search over ``reference_cover_or_packing``:
+    packing seen at lo (-1 vacuously), cover at hi (n a priori).  The first
+    probe goes to ``first_probe`` when it lies inside the bracket; the
+    search gives up (None) once ``lo`` reaches ``stop_at``."""
+    lo, hi = -1, g.n
+    cover_at_hi = packing_at_lo = None
+    while hi - lo > 1:
+        if stop_at is not None and lo >= stop_at:
+            return None
+        if first_probe is not None and lo < first_probe < hi:
+            mid = first_probe
+        else:
+            mid = (lo + hi) // 2
+        first_probe = None
+        out = reference_cover_or_packing(g, D, r, mid, k)
+        if out.is_cover:
+            hi, cover_at_hi = mid, out.cover
+        else:
+            lo, packing_at_lo = mid, out.packing
+    if cover_at_hi is None:
+        cover_at_hi = reference_cover_or_packing(g, D, r, hi, k).cover
+    witness = PackingWitness(radius=hi - 1, vertices=packing_at_lo) if hi > 0 else None
+    return hi, cover_at_hi, witness
+
+
+def reference_best_root(g, D, k, prune=True) -> RootedSolution:
+    """Reference root search: one root at a time in id order.  With
+    pruning, each later root first probes one below the incumbent radius
+    and stops once its bracket shows it cannot beat the incumbent (ties go
+    to the lower id, which the incumbent always has)."""
+    best = None
+    for r in range(g.n):
+        below = best[0] - 1 if prune and best is not None else None
+        found = reference_search_root(g, D, r, k, below, below)
+        if found is not None and (best is None or found[0] < best[0]):
+            radius, cover, witness = found
+            best = (radius, r, cover, witness)
+    radius, root, cover, witness = best
+    return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
 
 
 def reference_perfect_matching(H):

@@ -228,6 +228,46 @@ def test_verify_rejects_witness_member_in_first_kill_set(tmp_path, capsys):
     assert report["packing"]["ok"] is False
 
 
+def test_verify_rejects_out_of_range_root(tmp_path, capsys):
+    # -n wraps to the same row under numpy indexing; n would not index
+    g = random_tree(30, 7)
+    for shift in (-g.n, g.n):
+
+        def move_root(data):
+            data["rooted"]["root"] += shift
+
+        code, report = _verify_tampered(tmp_path, capsys, g, 2, move_root)
+        assert code == 1
+        assert report["packing"]["shape_ok"] is False
+        assert report["packing"]["ok"] is False
+
+
+def test_verify_rejects_out_of_range_witness_vertex(tmp_path, capsys):
+    g = random_tree(30, 7)
+    for shift in (-g.n, g.n):
+
+        def move_member(data):
+            data["rooted"]["packing_witness"]["vertices"][0] += shift
+
+        code, report = _verify_tampered(tmp_path, capsys, g, 2, move_member)
+        assert code == 1
+        assert report["packing"]["shape_ok"] is False
+        assert report["packing"]["ok"] is False
+
+
+def test_verify_rejects_out_of_range_path_vertex(tmp_path, capsys):
+    g = random_tree(30, 7)
+    for shift in (-g.n, g.n):
+
+        def move_path_end(data):
+            data["paths"][0][-1] += shift
+
+        code, report = _verify_tampered(tmp_path, capsys, g, 2, move_path_end)
+        assert code == 1
+        assert report["cover"]["isometric"] is False
+        assert report["cover"]["ok"] is False
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     gpath = write_graph(tmp_path, star_graph(5), "star5.txt")
     _, out1, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "2")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import kgc.rooted_cover
@@ -18,6 +19,7 @@ from kgc import (
     is_isometric,
     min_radius_for_root,
     path_graph,
+    random_connected,
     random_tree,
     scan_root,
     star_graph,
@@ -26,6 +28,7 @@ from kgc import (
     verify_packing,
 )
 from conftest import (
+    reference_best_root,
     reference_cover_or_packing,
     reference_verify_packing,
     small_graph_corpus,
@@ -224,6 +227,8 @@ def test_cover_or_packing_rejects_bad_k():
     with pytest.raises(ValueError):
         cover_or_packing(g, D, 0, 1, 0)
     with pytest.raises(ValueError):
+        cover_or_packing(g, D, 0, -1, 1)
+    with pytest.raises(ValueError):
         best_root(g, D, 5)
 
 
@@ -251,20 +256,100 @@ def test_cover_or_packing_matches_reference():
                     assert cover_or_packing(g, D, r, radius, k) == expected
 
 
-def test_best_root_matches_reference_kernel(monkeypatch):
-    corpus = _differential_corpus()
-    expected = {}
-    with monkeypatch.context() as patch:
-        patch.setattr(kgc.rooted_cover, "cover_or_packing", reference_cover_or_packing)
-        for i, g in enumerate(corpus):
-            D = apsp(g)
-            for k in (1, 2, 3):
-                expected[i, k] = best_root(g, D, k, prune=False)
-    for i, g in enumerate(corpus):
+def test_best_root_matches_reference_kernel():
+    # the lockstep search against one root at a time over the full-matrix
+    # greedy, with and without pruning
+    for g in _differential_corpus():
         D = apsp(g)
         for k in (1, 2, 3):
-            assert best_root(g, D, k, prune=False) == expected[i, k]
-            assert best_root(g, D, k, threads=4) == expected[i, k]
+            for prune in (True, False):
+                expected = reference_best_root(g, D, k, prune=prune)
+                assert best_root(g, D, k, prune=prune) == expected
+            assert best_root(g, D, k, threads=4) == expected
+
+
+def _lockstep_outcomes(g, D, radius, k):
+    greedy = kgc.rooted_cover._Greedy(D)
+    covered, picks = greedy.run(np.arange(g.n), radius, k)
+    return [
+        kgc.rooted_cover._outcome(g, D, r, bool(covered[r]), picks[r]) for r in range(g.n)
+    ]
+
+
+def _assert_lockstep_matches_reference():
+    for g in _differential_corpus():
+        D = apsp(g)
+        for radius in range(int(D.d.max()) + 1):
+            for k in range(1, min(4, g.n) + 1):
+                outcomes = _lockstep_outcomes(g, D, radius, k)
+                for r in range(g.n):
+                    assert outcomes[r] == reference_cover_or_packing(g, D, r, radius, k)
+
+
+def test_lockstep_greedy_matches_reference():
+    # every root of a graph in one batch, every radius and k: each row ends
+    # exactly as the full-matrix greedy from that root
+    _assert_lockstep_matches_reference()
+
+
+def test_lockstep_greedy_matches_reference_in_tiny_slices(monkeypatch):
+    # a budget of 200 cells cuts every step's alignment rows (64 cells wide
+    # on these graphs) into slices of 3 members and its ball rows into
+    # slices of 25, so one root's rows span several slices
+    monkeypatch.setattr(kgc.rooted_cover, "_CELLS", 200)
+    _assert_lockstep_matches_reference()
+    for g in _differential_corpus()[::3]:
+        D = apsp(g)
+        for k in (1, 2):
+            assert best_root(g, D, k) == reference_best_root(g, D, k)
+
+
+def test_slices_cover_every_row_once(monkeypatch):
+    monkeypatch.setattr(kgc.rooted_cover, "_CELLS", 12)
+    for total in range(0, 40):
+        for width in (1, 5, 12, 13, 64):
+            rows = np.arange(total)
+            parts = [rows[s] for s in kgc.rooted_cover._slices(total, width)]
+            assert all(0 < p.size * width <= max(12, width) for p in parts)
+            assert np.concatenate([rows[:0], *parts]).tolist() == rows.tolist()
+
+
+def test_ball_bits_keep_a_bounded_number_of_radii():
+    g = path_graph(40)
+    greedy = kgc.rooted_cover._Greedy(apsp(g))
+    for radius in range(40):
+        bits = greedy.ball_bits(radius)
+        ball = np.unpackbits(bits, axis=1, count=g.n).astype(bool)
+        assert (ball == (apsp(g).d <= radius)).all()
+    assert len(greedy._bits) == kgc.rooted_cover._BALL_RADII
+
+
+def test_best_root_covers_mid_chunk(monkeypatch):
+    # graphs whose incumbent improves at least twice after root 0, once from
+    # a root inside a lockstep chunk: the roots after it are probed again
+    # at the new radius
+    calls = []
+    run = kgc.rooted_cover._Greedy.run
+
+    def spy(self, roots, radius, k):
+        covered, picks = run(self, roots, radius, k)
+        if len(roots) > 1:
+            calls.append((len(roots), covered.nonzero()[0].tolist()))
+        return covered, picks
+
+    monkeypatch.setattr(kgc.rooted_cover._Greedy, "run", spy)
+    for g, k in (
+        (random_connected(40, 48, 7), 1),
+        (random_connected(40, 48, 7), 2),
+        (random_connected(60, 70, 19), 1),
+        (random_connected(40, 48, 36), 1),
+        (random_tree(40, 16), 1),
+    ):
+        D = apsp(g)
+        calls.clear()
+        assert best_root(g, D, k) == reference_best_root(g, D, k)
+        assert sum(1 for _, hits in calls if hits) >= 2
+        assert any(hits and 0 < hits[0] < size - 1 for size, hits in calls)
 
 
 def test_best_root_allocates_no_square_matrices():
