@@ -20,6 +20,7 @@ from .graph_core import (
     Graph,
     GraphFormatError,
     GraphValidationError,
+    HalfInteger,
     apsp,
     four_point_delta,
     generate,
@@ -33,7 +34,7 @@ from .graph_core import (
 from .geodesics import family_eccentricity, is_isometric
 from .oracle import OracleCaps, exact_optimum
 from .rooted_cover import verify_packing
-from .solver import SolveOptions, solve
+from .solver import SolveOptions, bound_range, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -128,30 +129,47 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _is_vertex(v, n: int) -> bool:
+    """True for a JSON integer (not a boolean) in ``[0, n)``."""
+    return type(v) is int and 0 <= v < n
+
+
+def _field(obj, key: str):
+    """``obj[key]``, or None when ``obj`` is not an object or lacks it."""
+    return obj.get(key) if isinstance(obj, dict) else None
+
+
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     D = apsp(g)
     with open(args.cover, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("artifact must be a JSON object")
 
     paths = data.get("paths")
     if paths is None:
         paths = data.get("cover")
     k = data.get("k")
-    if k is not None:
-        k = int(k)
+    if k is not None and type(k) is not int:
+        raise ValueError(f"artifact k must be an integer, got {k!r}")
     report: dict = {}
     ok = True
 
+    # a malformed field fails its check instead of raising: paths must be
+    # lists of vertex ids, the root and the witness members vertex ids, and
+    # the radii integers
     if paths is not None:
-        paths = [tuple(int(v) for v in p) for p in paths]
-        within_k = k is None or len(paths) <= k
-        in_range = all(0 <= v < g.n for p in paths for v in p)
-        isometric = in_range and all(is_isometric(D, p) for p in paths)
-        ecc = family_eccentricity(g, paths) if paths and in_range else None
+        count = len(paths) if isinstance(paths, list) else None
+        shaped = count is not None and all(
+            isinstance(p, list) and all(_is_vertex(v, g.n) for v in p) for p in paths
+        )
+        within_k = k is None or (count is not None and count <= k)
+        isometric = shaped and all(is_isometric(D, p) for p in paths)
+        ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
         cover_ok = within_k and isometric and ecc is not None and ecc <= args.radius
         report["cover"] = {
-            "paths": len(paths),
+            "paths": count,
             "within_k": within_k,
             "isometric": isometric,
             "eccentricity": ecc,
@@ -165,29 +183,49 @@ def cmd_verify(args) -> int:
     rooted = data.get("rooted")
     if rooted is None and "packing_witness" in data:
         rooted = data
-    if rooted is not None and rooted.get("packing_witness"):
-        witness = rooted["packing_witness"]
-        root, witness_radius = int(rooted["root"]), int(witness["R"])
-        vertices = [int(v) for v in witness["vertices"]]
+    rooted_radius = _field(rooted, "R")
+    witness = _field(rooted, "packing_witness")
+    # with k known, a rooted radius above 0 is shown least only by a witness
+    if witness or (k is not None and rooted is not None and rooted_radius != 0):
+        root, witness_radius = _field(rooted, "root"), _field(witness, "R")
+        vertices = _field(witness, "vertices")
         # with k known, the witness must be the 2k-vertex packing one step
         # below the rooted radius, or it does not show that radius is least
-        in_range = all(0 <= v < g.n for v in (root, *vertices))
-        shape_ok = in_range and (
-            k is None
-            or (
-                len(set(vertices)) == len(vertices) == 2 * k
-                and witness_radius == int(rooted["R"]) - 1
+        shape_ok = (
+            isinstance(vertices, list)
+            and all(_is_vertex(v, g.n) for v in (root, *vertices))
+            and type(witness_radius) is int
+            and witness_radius >= 0
+            and (
+                k is None
+                or (
+                    len(set(vertices)) == len(vertices) == 2 * k
+                    and type(rooted_radius) is int
+                    and witness_radius == rooted_radius - 1
+                )
             )
         )
         packing_ok = shape_ok and verify_packing(g, D, root, witness_radius, vertices)
         report["packing"] = {
             "root": root,
             "R": witness_radius,
-            "size": len(vertices),
+            "size": len(vertices) if isinstance(vertices, list) else None,
             "shape_ok": shape_ok,
             "ok": packing_ok,
         }
         ok = ok and packing_ok
+
+    bounds = data.get("bounds")
+    if bounds is not None:
+        tau = _field(bounds, "tau_hat_doubled")
+        expected = None
+        if type(tau) is int and tau >= 0 and type(rooted_radius) is int:
+            expected = bound_range(rooted_radius, HalfInteger(tau))
+        reported = (_field(bounds, "lower"), _field(bounds, "upper"))
+        bounds_ok = all(type(x) is int for x in reported) and reported == expected
+        lower, upper = expected or (None, None)
+        report["bounds"] = {"lower": lower, "upper": upper, "ok": bounds_ok}
+        ok = ok and bounds_ok
 
     if report.get("cover") is None and "packing" not in report:
         raise ValueError("nothing to verify: no 'paths', 'cover', or packing witness")

@@ -162,27 +162,18 @@ def load_graph(source: str | bytes | IO) -> Graph:
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {data[0]!r}") from exc
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for ln in data[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise GraphFormatError(f"non-integer edge line {ln!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphValidationError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphValidationError(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphValidationError(f"duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
+    g = Graph.from_edges(n, edges)  # range, loops, duplicates, connectivity
     if len(edges) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return g
 
 
 def serialize_graph(g: Graph) -> str:
@@ -374,7 +365,90 @@ class DistanceMatrix:
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """Exact hop distances: one breadth-first search from all sources at once.
+    """Exact hop distances: a breadth-first search of the 2-core only, and
+    a row recurrence across bridges for the trees that hang from it.
+
+    Vertices of degree 1 are peeled until none is left, or on a tree until
+    one vertex is left; each peeled vertex hangs from the one neighbour
+    still present when it goes.  What remains is the 2-core, and only it
+    gets the all-sources search (:func:`_bfs`).  A peeled vertex t lies in
+    a pendant tree at depth h(t) below its core anchor a(t), and every path
+    from t to the core runs through a(t), so a core row reads
+    ``d(c, t) = d(c, a(t)) + h(t)``.  A peeled vertex v with parent p ends
+    the bridge (p, v): row v is row p plus 1, minus 2 on v's subtree, which
+    is one contiguous range of a preorder of the pendant trees.  Pendant
+    rows are filled in that preorder, each from its parent's row, straight
+    into the matrix.
+
+    With no vertex of degree 1 the core is the whole graph and its search
+    result is the matrix.  Otherwise the memory beyond the n x n result is
+    the core's own c x c matrix, the search's sliced temporaries and a few
+    arrays of n entries.
+    """
+    n = g.n
+    adj = g.adjacency
+    deg = list(map(len, adj))
+    parent = [-1] * n  # stays -1 on the core
+    children: list[list[int]] = [[] for _ in range(n)]
+    leaves = [v for v in range(n) if deg[v] == 1]
+    left = n
+    while leaves and left > 1:
+        v = leaves.pop()
+        p = next(w for w in adj[v] if parent[w] < 0)
+        parent[v] = p
+        children[p].append(v)
+        left -= 1
+        deg[p] -= 1
+        if deg[p] == 1:
+            leaves.append(p)
+    core = [v for v in range(n) if parent[v] < 0]
+    cid = [-1] * n
+    for i, v in enumerate(core):
+        cid[v] = i
+    # after peeling, a core vertex's degree counts its core neighbours only
+    core_d = _bfs(
+        np.fromiter((deg[v] for v in core), dtype=np.int64, count=len(core)),
+        np.fromiter((cid[w] for v in core for w in adj[v] if cid[w] >= 0), dtype=np.int64),
+    )
+    if len(core) == n:
+        core_d.setflags(write=False)
+        return DistanceMatrix(n=n, d=core_d)
+
+    order: list[int] = []  # preorder of the pendant trees
+    todo = [v for a in core for v in children[a]]
+    while todo:
+        v = todo.pop()
+        order.append(v)
+        todo.extend(children[v])
+    anchor, depth = cid[:], [0] * n
+    for v in order:
+        anchor[v] = anchor[parent[v]]
+        depth[v] = depth[parent[v]] + 1
+    size = [1] * n
+    for v in reversed(order):
+        size[parent[v]] += size[v]
+
+    d = np.empty((n, n), dtype=np.int32)
+    anchor_col = np.array(anchor, dtype=np.intp)
+    depth_col = np.array(depth, dtype=np.int32)
+    for i, a in enumerate(core):
+        row = d[a]
+        np.take(core_d[i], anchor_col, out=row)
+        row += depth_col
+    order_col = np.array(order, dtype=np.intp)
+    for start, v in enumerate(order):
+        row = d[v]
+        np.add(d[parent[v]], 1, out=row)
+        row[order_col[start : start + size[v]]] -= 2
+    d.setflags(write=False)
+    return DistanceMatrix(n=n, d=d)
+
+
+def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Hop distances of a connected graph in CSR form (vertex v's
+    neighbours are the ``deg[v]`` entries of ``indices`` after those of
+    vertices 0..v-1): one breadth-first search from all sources at once,
+    as a writeable int32 matrix.
 
     Level-synchronous over a flat frontier of cells ``source*n + vertex``:
     each level expands the frontier through CSR neighbour arrays, keeps the
@@ -383,14 +457,12 @@ def apsp(g: Graph) -> DistanceMatrix:
     edges, so beyond the matrix only the frontier and the level it reaches
     grow with n.
     """
-    n = g.n
+    n = deg.size
     cell = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    deg = np.fromiter(map(len, g.adjacency), dtype=cell, count=n)
+    deg = deg.astype(cell)
+    indices = indices.astype(cell)
     indptr = np.zeros(n + 1, dtype=cell)
     np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(
-        (w for ns in g.adjacency for w in ns), dtype=cell, count=int(indptr[-1])
-    )
     flat = np.full(n * n, -1, dtype=np.int32)
     frontier = np.arange(0, n * n, n + 1, dtype=cell)  # the diagonal
     flat[frontier] = 0
@@ -414,9 +486,7 @@ def apsp(g: Graph) -> DistanceMatrix:
             flat[cells] = level
             reached.append(cells)
         frontier = np.concatenate(reached)
-    d = flat.reshape(n, n)
-    d.setflags(write=False)
-    return DistanceMatrix(n=n, d=d)
+    return flat.reshape(n, n)
 
 
 def _frontier_slices(frontier: np.ndarray, n: int, deg: np.ndarray):

@@ -95,6 +95,16 @@ def build_profile(rooted: RootedSolution, k: int) -> tuple[int, ...]:
     return (u, *endpoints, *([u] * padding))
 
 
+def bound_range(rooted_radius: int, tau: HalfInteger) -> tuple[int, int]:
+    """The bound report's (lower, upper) for a rooted radius and a thinness
+    bound: the optimum is at least ``rooted_radius - tau`` (ceiled, and
+    never below 0), and the returned radius at most
+    ``rooted_radius + 5*tau + 1`` (floored)."""
+    lower = max(0, HalfInteger(2 * rooted_radius - tau.doubled).ceil())
+    upper = HalfInteger(2 * rooted_radius + 5 * tau.doubled + 2).floor()
+    return lower, upper
+
+
 def _best_k_of_cover(g: Graph, cover, k: int):
     """Greedy pick of k cover paths, each minimizing the family eccentricity
     of the picks so far; ties to the earliest path."""
@@ -146,8 +156,7 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
         if alt_radius < radius:
             paths, radius = alt, alt_radius
 
-    lower = max(0, HalfInteger(2 * rooted.radius - tau.doubled).ceil())
-    upper = HalfInteger(2 * rooted.radius + 5 * tau.doubled + 2).floor()
+    lower, upper = bound_range(rooted.radius, tau)
     bounds = BoundReport(tau_hat=tau, tau_source=tau_source, lower=lower, upper=upper)
     return SolveResult(
         k=k, paths=paths, radius=radius, rooted=rooted, pairing=pairing, bounds=bounds

@@ -8,6 +8,7 @@ from kgc import (
     exists_covering_rpath,
     load_graph,
     path_graph,
+    random_connected,
     random_tree,
     serialize_graph,
     star_graph,
@@ -266,6 +267,123 @@ def test_verify_rejects_out_of_range_path_vertex(tmp_path, capsys):
         assert code == 1
         assert report["cover"]["isometric"] is False
         assert report["cover"]["ok"] is False
+
+
+def _assert_each_edit_fails(tmp_path, capsys, g, k, section, edits):
+    """Each edit of a solved artifact ends in exit 1 with a report whose
+    ``section`` check failed, not in a traceback."""
+    for edit in edits:
+        code, report = _verify_tampered(tmp_path, capsys, g, k, edit)
+        assert code == 1
+        assert report["ok"] is False
+        assert report[section]["ok"] is False
+
+
+def _edit(*keys, to=None):
+    """An edit that replaces data[keys[0]]...[keys[-1]] by ``to`` of its
+    value, or deletes that key when ``to`` is None."""
+
+    def edit(data):
+        *outer, last = keys
+        for key in outer:
+            data = data[key]
+        if to is None:
+            del data[last]
+        else:
+            data[last] = to(data[last])
+
+    return edit
+
+
+# float and str keep the value, so a check that casts with int() passes them
+_NON_INTEGERS = (float, str, lambda v: [v], lambda v: None, lambda v: True)
+
+
+def test_verify_fails_malformed_root(tmp_path, capsys):
+    edits = [_edit("rooted", "root", to=t) for t in (None, *_NON_INTEGERS)]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "packing", edits)
+
+
+def test_verify_fails_malformed_witness_radius(tmp_path, capsys):
+    edits = [_edit("rooted", "packing_witness", "R", to=t) for t in (None, *_NON_INTEGERS)]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "packing", edits)
+
+
+def test_verify_fails_malformed_witness_vertex(tmp_path, capsys):
+    edits = [_edit("rooted", "packing_witness", "vertices", 0, to=t) for t in _NON_INTEGERS]
+    edits += [
+        _edit("rooted", "packing_witness", "vertices", to=t)
+        for t in (None, len, lambda v: " ".join(map(str, v)))
+    ]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "packing", edits)
+
+
+def test_verify_fails_rooted_radius_without_witness(tmp_path, capsys):
+    # rooted.R is 2: without a packing nothing shows it least, nor the
+    # lower bound computed from it
+    witness = ("rooted", "packing_witness")
+    edits = [_edit(*witness, to=lambda v: None), _edit(*witness), _edit("rooted", "R", to=str)]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "packing", edits)
+
+
+def test_verify_fails_non_list_path(tmp_path, capsys):
+    non_lists = (len, str, lambda v: None, lambda v: {"0": v})
+    edits = [_edit("paths", 0, to=t) for t in non_lists]
+    edits.append(_edit("paths", to=len))
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "cover", edits)
+
+
+def test_verify_fails_non_integer_path_vertex(tmp_path, capsys):
+    edits = [_edit("paths", 0, 0, to=t) for t in _NON_INTEGERS]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "cover", edits)
+
+
+def _bounds_edits(field):
+    changes = (lambda v: v - 1, lambda v: v + 1, lambda v: -5, lambda v: 10**6, None)
+    return [_edit("bounds", field, to=t) for t in (*changes, *_NON_INTEGERS)]
+
+
+def test_verify_recomputes_bound_lower(tmp_path, capsys):
+    g = random_tree(30, 7)  # tau is 0: lower is rooted.R, upper rooted.R + 1
+    _assert_each_edit_fails(tmp_path, capsys, g, 2, "bounds", _bounds_edits("lower"))
+
+
+def test_verify_recomputes_bound_upper(tmp_path, capsys):
+    g = random_tree(30, 7)
+    _assert_each_edit_fails(tmp_path, capsys, g, 2, "bounds", _bounds_edits("upper"))
+
+
+def test_verify_recomputes_bounds_from_tau_hat(tmp_path, capsys):
+    g = random_connected(30, 36, 5)  # tau > 0
+    edits = _bounds_edits("tau_hat_doubled")
+    edits.append(_edit("bounds", to=lambda v: [v["lower"], v["upper"]]))
+    _assert_each_edit_fails(tmp_path, capsys, g, 2, "bounds", edits)
+
+
+def test_verify_reports_recomputed_bounds(tmp_path, capsys):
+    g = random_connected(30, 36, 5)
+    gpath = write_graph(tmp_path, g, "g.txt")
+    solved = tmp_path / "out.json"
+    run_cli(capsys, "solve", "-g", gpath, "-k", "2", "-o", str(solved))
+    data = json.loads(solved.read_text())
+    code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", str(solved),
+                           "--radius", str(data["radius"]))
+    assert code == 0
+    bounds = data["bounds"]
+    assert bounds["tau_hat_doubled"] > 0 and bounds["lower"] < bounds["upper"]
+    assert json.loads(out)["bounds"] == {
+        "lower": bounds["lower"], "upper": bounds["upper"], "ok": True
+    }
+
+
+def test_verify_rejects_malformed_top_level(tmp_path, capsys):
+    gpath = write_graph(tmp_path, path_graph(4), "p4.txt")
+    artifact = tmp_path / "bad.json"
+    for payload in ([[0, 1, 2, 3]], {"k": "2", "paths": [[0, 1, 2, 3]]}):
+        artifact.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact),
+                                 "--radius", "0")
+        assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

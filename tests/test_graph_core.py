@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from kgc import (
@@ -27,7 +29,7 @@ import numpy as np
 
 from kgc import graph_core
 from kgc.graph_core import biconnected_blocks
-from conftest import naive_delta_doubled, reference_apsp, small_graph_corpus
+from conftest import naive_delta_doubled, reference_apsp, small_graph_corpus, tree_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +216,40 @@ def test_apsp_examples():
     assert apsp(grid_graph(3, 3)).dist(0, 8) == 4
 
 
+def _glue(g: Graph, at: int, h: Graph) -> Graph:
+    """g with a copy of h hung from vertex ``at`` by an edge to h's vertex 0."""
+    edges = [*g.edges(), (at, g.n), *((u + g.n, v + g.n) for u, v in h.edges())]
+    return Graph.from_edges(g.n + h.n, edges)
+
+
+def _caterpillar(spine: int, legs: int) -> Graph:
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (1 + legs), edges)
+
+
+def _pendant_heavy_corpus():
+    """Trees, and cyclic graphs with long pendant paths and trees: most rows
+    come from the bridge recurrence, not the core's search."""
+    cycle_with_tails = _glue(_glue(cycle_graph(12), 0, path_graph(40)), 6, path_graph(25))
+    grid_with_trees = _glue(grid_graph(5, 4), 0, random_tree(30, 1))
+    grid_with_trees = _glue(grid_with_trees, 19, random_tree(25, 2))
+    joined = _glue(cycle_graph(6), 0, path_graph(30))
+    joined = _glue(joined, joined.n - 1, cycle_graph(7))  # two cycles, a 31-edge path
+    return [
+        path_graph(700),
+        _caterpillar(20, 3),
+        _caterpillar(60, 1),
+        *tree_corpus(20, 3, 120, seed=41),
+        cycle_with_tails,
+        grid_with_trees,
+        joined,
+        _grid_with_pendant_tree(),
+        _bridged_c5s(),
+        *(random_connected(n, n * 6 // 5, n) for n in (10, 40, 120, 300)),
+    ]
+
+
 def _apsp_corpus():
     graphs = [
         path_graph(1),
@@ -230,7 +266,7 @@ def _apsp_corpus():
         n = 2 + rng.below(30)
         m = (n - 1) + rng.below(n * (n - 1) // 2 - (n - 1) + 1)
         graphs.append(random_connected(n, m, rng.next_u64()))
-    return graphs
+    return [*graphs, *_pendant_heavy_corpus()]
 
 
 def _assert_apsp_matches_reference(g):
@@ -242,9 +278,8 @@ def _assert_apsp_matches_reference(g):
 
 
 def test_apsp_matches_reference_bfs():
-    # the path has hundreds of BFS levels; the dense graph's levels span
-    # many expansion slices
-    for g in [*_apsp_corpus(), path_graph(700), random_connected(120, 2500, 5)]:
+    # the dense graph's levels span many expansion slices
+    for g in [*_apsp_corpus(), random_connected(120, 2500, 5)]:
         _assert_apsp_matches_reference(g)
 
 
@@ -254,6 +289,53 @@ def test_apsp_matches_reference_bfs_in_tiny_slices(monkeypatch):
     monkeypatch.setattr(graph_core, "_APSP_SLICE", 32)
     for g in _apsp_corpus():
         _assert_apsp_matches_reference(g)
+
+
+def _two_core(g: Graph) -> list[int]:
+    """Vertices left after deleting vertices of degree at most 1 until none
+    is left (empty for a tree)."""
+    alive = set(range(g.n))
+    while True:
+        low = {v for v in alive if sum(w in alive for w in g.adjacency[v]) <= 1}
+        if not low:
+            return sorted(alive)
+        alive -= low
+
+
+def test_apsp_searches_only_the_two_core(monkeypatch):
+    seen = []
+    search = graph_core._bfs
+
+    def spy(deg, indices):
+        sources = np.repeat(np.arange(deg.size), deg)
+        seen.append((deg.size, set(zip(sources.tolist(), indices.tolist()))))
+        return search(deg, indices)
+
+    monkeypatch.setattr(graph_core, "_bfs", spy)
+    for g in _apsp_corpus():
+        seen.clear()
+        apsp(g)
+        ((size, edges),) = seen
+        if g.is_tree():
+            assert (size, edges) == (1, set())
+            continue
+        core = _two_core(g)
+        index = {v: i for i, v in enumerate(core)}
+        induced = {(index[u], index[w]) for u in core for w in g.adjacency[u] if w in index}
+        assert (size, edges) == (len(core), induced)
+
+
+def test_apsp_memory_beyond_the_matrix():
+    # one search over all n sources peaks at about 1.36x on the tree and
+    # 2.3x on the cyclic graph; a permuted copy of the matrix would add 1x
+    for g, bound in ((random_tree(700, 3), 1.5), (random_connected(350, 420, 1), 2.5)):
+        tracemalloc.start()
+        try:
+            D = apsp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * D.d.nbytes
 
 
 def test_distance_matrix_axioms():

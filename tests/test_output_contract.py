@@ -2,8 +2,10 @@
 bytes exactly, not only match the commit before it.
 
 The digests were recorded with the one-root-at-a-time root search, before
-the lockstep kernel replaced it.  Regenerate them only for a change that
-is meant to alter the output, and say so in the changelog.
+the lockstep kernel replaced it, and ``cyclic-200-s3`` (default options,
+so tau is computed) with an ``apsp`` that searched the whole graph, before
+it searched only the 2-core.  Regenerate them only for a change that is
+meant to alter the output, and say so in the changelog.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ TREE = ["-k", "3", "--tau-hat-doubled", "0"]
 CASES = {
     "cyclic-350-s1": (lambda: random_connected(350, 420, 1), CYCLIC),
     "cyclic-350-s2": (lambda: random_connected(350, 420, 2), CYCLIC),
+    "cyclic-200-s3": (lambda: random_connected(200, 230, 3), ["-k", "4"]),
     "cyclic-350-s2-no-prune": (lambda: random_connected(350, 420, 2), [*CYCLIC, "--no-prune"]),
     "cyclic-350-s2-threads": (
         lambda: random_connected(350, 420, 2),
@@ -39,6 +42,7 @@ DIGESTS = {
     "cycle-12-k1": "cab32c47a45f65952912a1657571a7a4790d821a759842ab859ed12d6fc439ae",
     "cycle-12-k2": "b5c185fc63c16ba2cd5dceda3826b8791e7d4efdfeb584c2d42d40da8f5f1aff",
     "cycle-12-k2-threads": "b5c185fc63c16ba2cd5dceda3826b8791e7d4efdfeb584c2d42d40da8f5f1aff",
+    "cyclic-200-s3": "350db6d10b99339c31ac8446a4a10447e2dceeebea7632e2c2f35d14ccabca5f",
     "cyclic-350-s1": "e557e1989392ce2542445eec0d36765143124ae9c78fd3c19c4588bd3ef90f1c",
     "cyclic-350-s2": "53e058053e97045e7eadf8e9029e70d96ae67c51f4d3bf3b68643bc2c1c62450",
     "cyclic-350-s2-no-prune": "53e058053e97045e7eadf8e9029e70d96ae67c51f4d3bf3b68643bc2c1c62450",
