@@ -1,5 +1,12 @@
 """Additive-approximation k-geodesic centers of connected unweighted graphs,
-with exact desk-scale oracles and hyperbolicity measurement."""
+with exact desk-scale oracles and hyperbolicity measurement.
+
+The package namespace holds what the README and the command line use: the
+graph files and generators, ``solve`` with the types of its result, the
+exact oracle, the four-point hyperbolicity and the verifier's checks.  The
+pipeline's stages live in their modules (``rooted_cover``,
+``shallow_pairing``, ``solver``).
+"""
 
 from .graph_core import (
     CapExceededError,
@@ -9,13 +16,11 @@ from .graph_core import (
     GraphFormatError,
     GraphValidationError,
     HalfInteger,
-    SplitMix64,
     apsp,
     cycle_graph,
     four_point_delta,
     generate,
     grid_graph,
-    gromov_product,
     load_graph,
     path_graph,
     random_connected,
@@ -23,46 +28,12 @@ from .graph_core import (
     serialize_graph,
     star_graph,
     subdivide,
-    tau_hat_from_delta,
 )
-from .geodesics import (
-    VertexPath,
-    enumerate_geodesics,
-    exists_covering_rpath,
-    family_eccentricity,
-    is_isometric,
-    path_through,
-    shortest_path,
-)
-from .rooted_cover import (
-    PackingWitness,
-    RootedOutcome,
-    RootedSolution,
-    best_root,
-    cover_or_packing,
-    min_radius_for_root,
-    scan_root,
-    verify_packing,
-)
-from .shallow_pairing import (
-    Pairing,
-    fiber,
-    find_shallow_pairing,
-    min_gamma_pairing,
-    pairing_distance,
-    pairing_graph,
-    paths_of_pairing,
-    perfect_matching,
-    total_distance,
-)
-from .solver import BoundReport, SolveOptions, SolveResult, build_profile, solve, solve_tree
-from .oracle import (
-    OracleCaps,
-    OracleResult,
-    check_rooted_relaxation,
-    check_subdivision_lemma,
-    exact_optimum,
-)
+from .geodesics import VertexPath, family_eccentricity, is_isometric
+from .rooted_cover import PackingWitness, RootedSolution, verify_packing
+from .shallow_pairing import Pairing
+from .solver import BoundReport, SolveOptions, SolveResult, solve
+from .oracle import OracleCaps, OracleResult, exact_optimum
 
 __version__ = "0.1.0"
 
@@ -74,13 +45,11 @@ __all__ = [
     "GraphFormatError",
     "GraphValidationError",
     "HalfInteger",
-    "SplitMix64",
     "apsp",
     "cycle_graph",
     "four_point_delta",
     "generate",
     "grid_graph",
-    "gromov_product",
     "load_graph",
     "path_graph",
     "random_connected",
@@ -88,40 +57,18 @@ __all__ = [
     "serialize_graph",
     "star_graph",
     "subdivide",
-    "tau_hat_from_delta",
     "VertexPath",
-    "enumerate_geodesics",
-    "exists_covering_rpath",
     "family_eccentricity",
     "is_isometric",
-    "path_through",
-    "shortest_path",
     "PackingWitness",
-    "RootedOutcome",
     "RootedSolution",
-    "best_root",
-    "cover_or_packing",
-    "min_radius_for_root",
-    "scan_root",
     "verify_packing",
     "Pairing",
-    "fiber",
-    "find_shallow_pairing",
-    "min_gamma_pairing",
-    "pairing_distance",
-    "pairing_graph",
-    "paths_of_pairing",
-    "perfect_matching",
-    "total_distance",
     "BoundReport",
     "SolveOptions",
     "SolveResult",
-    "build_profile",
     "solve",
-    "solve_tree",
     "OracleCaps",
     "OracleResult",
-    "check_rooted_relaxation",
-    "check_subdivision_lemma",
     "exact_optimum",
 ]

@@ -1,18 +1,16 @@
 """Command-line front end.
 
-Subcommands: solve, exact, delta, gen, verify, bench.  Machine output is
-JSON (half-integers as *_doubled integers, never floats) or CSV for
-bench.  Exit codes: 0 success / verified, 1 invalid input or failed
-verification, 2 resource cap exceeded.
+Subcommands: solve, exact, delta, gen, verify.  Machine output is JSON
+(half-integers as *_doubled integers, never floats).  Exit codes: 0
+success / verified, 1 invalid input or failed verification, 2 resource
+cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
 from .graph_core import (
     CapExceededError,
@@ -24,10 +22,7 @@ from .graph_core import (
     apsp,
     four_point_delta,
     generate,
-    grid_graph,
     load_graph,
-    path_graph,
-    random_tree,
     serialize_graph,
     subdivide,
 )
@@ -44,24 +39,6 @@ _DELTA_CAP_HELP = (
     "largest biconnected block the four-point scan accepts (vertices); "
     "a larger block exits 2"
 )
-
-_THREADS_HELP = (
-    "accepted for compatibility, must be >= 1 (default: KGC_THREADS or 1); "
-    "the root search is one batched single-threaded schedule, and this "
-    "option changes neither its output nor its schedule"
-)
-
-
-def _default_threads() -> int:
-    """``KGC_THREADS`` as given (values below 1 fail in the solver, as
-    ``--threads`` does); 1 when unset or not an integer."""
-    env = os.environ.get("KGC_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 1
 
 
 def _read_graph(path: str) -> Graph:
@@ -89,7 +66,6 @@ def cmd_solve(args) -> int:
         prune=not args.no_prune,
         threads=args.threads,
         delta_max_vertices=args.delta_cap,
-        best_effort=args.best_effort,
     )
     result = solve(g, args.k, opts)
     _emit_json(result.as_dict(), args.output)
@@ -134,6 +110,11 @@ def _is_vertex(v, n: int) -> bool:
     return type(v) is int and 0 <= v < n
 
 
+def _is_vertex_list(p, n: int) -> bool:
+    """True for a JSON list of vertex ids."""
+    return isinstance(p, list) and all(_is_vertex(v, n) for v in p)
+
+
 def _field(obj, key: str):
     """``obj[key]``, or None when ``obj`` is not an object or lacks it."""
     return obj.get(key) if isinstance(obj, dict) else None
@@ -155,15 +136,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"artifact k must be an integer, got {k!r}")
     report: dict = {}
     ok = True
+    ecc = None
 
     # a malformed field fails its check instead of raising: paths must be
     # lists of vertex ids, the root and the witness members vertex ids, and
     # the radii integers
     if paths is not None:
         count = len(paths) if isinstance(paths, list) else None
-        shaped = count is not None and all(
-            isinstance(p, list) and all(_is_vertex(v, g.n) for v in p) for p in paths
-        )
+        shaped = count is not None and all(_is_vertex_list(p, g.n) for p in paths)
         within_k = k is None or (count is not None and count <= k)
         isometric = shaped and all(is_isometric(D, p) for p in paths)
         ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
@@ -177,18 +157,51 @@ def cmd_verify(args) -> int:
             "ok": cover_ok,
         }
         ok = ok and cover_ok
+
+        pairing = data.get("pairing")
+        if pairing is not None:
+            # the paths run between the distinct pairs, in the pairs' order
+            pairs = _field(pairing, "pairs")
+            pairs_ok = (
+                shaped
+                and all(paths)
+                and isinstance(pairs, list)
+                and all(_is_vertex_list(p, g.n) and len(p) == 2 for p in pairs)
+                and [(p[0], p[-1]) for p in paths] == list(dict.fromkeys(map(tuple, pairs)))
+            )
+            report["pairing"] = {
+                "pairs": len(pairs) if isinstance(pairs, list) else None,
+                "ok": pairs_ok,
+            }
+            ok = ok and pairs_ok
     else:
         report["cover"] = None
 
     rooted = data.get("rooted")
     if rooted is None and "packing_witness" in data:
         rooted = data
-    rooted_radius = _field(rooted, "R")
+    root, rooted_radius = _field(rooted, "root"), _field(rooted, "R")
+    if rooted is not None:
+        # the rooted cover: at most 2k-1 geodesics, each out of the root
+        rooted_cover = _field(rooted, "cover")
+        count = len(rooted_cover) if isinstance(rooted_cover, list) else None
+        rooted_ok = (
+            count is not None
+            and 0 < count
+            and (k is None or count <= 2 * k - 1)
+            and _is_vertex(root, g.n)
+            and all(
+                _is_vertex_list(p, g.n) and p[:1] == [root] and is_isometric(D, p)
+                for p in rooted_cover
+            )
+        )
+        report["rooted"] = {"paths": count, "ok": rooted_ok}
+        ok = ok and rooted_ok
+
     witness = _field(rooted, "packing_witness")
     # with k known, a rooted radius above 0 is shown least only by a witness
     if witness or (k is not None and rooted is not None and rooted_radius != 0):
-        root, witness_radius = _field(rooted, "root"), _field(witness, "R")
-        vertices = _field(witness, "vertices")
+        witness_radius, vertices = _field(witness, "R"), _field(witness, "vertices")
         # with k known, the witness must be the 2k-vertex packing one step
         # below the rooted radius, or it does not show that radius is least
         shape_ok = (
@@ -217,13 +230,22 @@ def cmd_verify(args) -> int:
 
     bounds = data.get("bounds")
     if bounds is not None:
-        tau = _field(bounds, "tau_hat_doubled")
+        tau, source = _field(bounds, "tau_hat_doubled"), _field(bounds, "tau_source")
         expected = None
-        if type(tau) is int and tau >= 0 and type(rooted_radius) is int:
+        if (
+            type(tau) is int
+            and tau >= 0
+            and type(rooted_radius) is int
+            and source in ("computed", "supplied")
+        ):
             expected = bound_range(rooted_radius, HalfInteger(tau))
         reported = (_field(bounds, "lower"), _field(bounds, "upper"))
         bounds_ok = all(type(x) is int for x in reported) and reported == expected
         lower, upper = expected or (None, None)
+        # a computed tau makes upper a bound on the paths' radius; a
+        # supplied one only if it holds, which verify cannot tell
+        if bounds_ok and source == "computed" and ecc is not None:
+            bounds_ok = ecc <= upper
         report["bounds"] = {"lower": lower, "upper": upper, "ok": bounds_ok}
         ok = ok and bounds_ok
 
@@ -232,37 +254,6 @@ def cmd_verify(args) -> int:
     report["ok"] = ok
     _emit_json(report, args.output)
     return EXIT_OK if ok else EXIT_INVALID
-
-
-def _bench_graph(family: str, size: int, seed: int) -> Graph:
-    if family == "path":
-        return path_graph(size)
-    if family == "tree":
-        return random_tree(size, seed)
-    if family == "grid":
-        return grid_graph(size, size)
-    raise ValueError(f"unknown bench family {family!r}")
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = ["n,m,k,R_u,radius,tau_hat_doubled,wall_ms"]
-    for size in sizes:
-        g = _bench_graph(args.family, size, args.seed)
-        opts = SolveOptions(
-            tau_hat_doubled=args.tau_hat_doubled,
-            threads=args.threads,
-            delta_max_vertices=args.delta_cap,
-        )
-        start = time.perf_counter()
-        result = solve(g, args.k, opts)
-        wall_ms = int((time.perf_counter() - start) * 1000)
-        rows.append(
-            f"{g.n},{g.m},{args.k},{result.rooted.radius},{result.radius},"
-            f"{result.bounds.tau_hat.doubled},{wall_ms}"
-        )
-    _emit("\n".join(rows) + "\n", args.output)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed pairing shallowness (doubled); default adaptive")
     p.add_argument("--tau-hat-doubled", type=int, default=None,
                    help="supplied thinness bound (doubled); default computed")
-    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; the root search "
+                   "is single-threaded, so this changes neither output nor schedule")
     p.add_argument("--no-prune", action="store_true",
                    help="disable incumbent pruning across roots")
-    p.add_argument("--best-effort", action="store_true",
-                   help="also try the k best rooted paths, keep the smaller radius")
     p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
                    help=_DELTA_CAP_HELP)
     add_output(p)
@@ -331,18 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     add_output(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time solve across generated graphs (CSV)")
-    p.add_argument("--family", choices=["path", "tree", "grid"], default="path")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p.add_argument("-k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads(), help=_THREADS_HELP)
-    p.add_argument("--tau-hat-doubled", type=int, default=None)
-    p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
-                   help=_DELTA_CAP_HELP)
-    add_output(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,4 +1,5 @@
-"""Isometric paths: construction, queries, and the rooted covering test.
+"""Isometric paths: construction and queries, and the reduction behind the
+rooted covering test.
 
 A path is *isometric* (a geodesic) when its length equals the hop
 distance between its endpoints; an *r-path* is an isometric path with r
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .graph_core import CapExceededError, DistanceMatrix, Graph
 
@@ -59,61 +58,6 @@ def is_isometric(D: DistanceMatrix, path: Sequence[int]) -> bool:
         if d[a, b] != 1:
             return False
     return int(d[path[0], path[-1]]) == len(path) - 1
-
-
-def path_through(g: Graph, D: DistanceMatrix, r: int, a: int, b: int) -> VertexPath:
-    """Geodesic from r to b through a; requires d(r,a) + d(a,b) = d(r,b)."""
-    d = D.d
-    if int(d[r, a]) + int(d[a, b]) != int(d[r, b]):
-        raise ValueError(f"{a} does not lie between {r} and {b}")
-    return shortest_path(g, D, r, a) + shortest_path(g, D, a, b)[1:]
-
-
-def covering_reach(
-    g: Graph,
-    D: DistanceMatrix,
-    r: int,
-    w: int,
-    radius: int,
-    aligned: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean vector over vertices u of ``exists_covering_rpath(r, u, w, radius)``.
-
-    ``aligned`` may carry the precomputed n x n matrix
-    ``d(a,b) == |d(r,a) - d(r,b)|`` (True when a and b lie on a common
-    geodesic through r); callers probing one root many times cache it.
-    """
-    d = D.d
-    dr = d[r]
-    ball_w = np.flatnonzero(d[w] <= radius)
-    if aligned is not None:
-        candidates = aligned[:, ball_w].any(axis=1)
-    else:
-        sub = d[:, ball_w] == np.abs(dr[:, None] - dr[ball_w][None, :])
-        candidates = sub.any(axis=1)
-    # u qualifies iff its radius-ball meets the candidate set
-    cand_idx = np.flatnonzero(candidates)
-    return (d[:, cand_idx] <= radius).any(axis=1)
-
-
-def exists_covering_rpath(
-    g: Graph, D: DistanceMatrix, r: int, u: int, w: int, radius: int
-) -> bool:
-    """True iff some isometric path ending at r passes within ``radius`` of
-    both u and w (via the vertex-pair reduction in the module docstring)."""
-    d = D.d
-    dr = d[r]
-    ball_u = np.flatnonzero(d[u] <= radius)
-    ball_w = np.flatnonzero(d[w] <= radius)
-    sub = d[np.ix_(ball_u, ball_w)] == np.abs(dr[ball_u][:, None] - dr[ball_w][None, :])
-    return bool(sub.any())
-
-
-def geodesic_alignment(D: DistanceMatrix, r: int) -> np.ndarray:
-    """Matrix aligned[a,b] = (a and b lie on a common geodesic through r)."""
-    d = D.d
-    dr = d[r]
-    return d == np.abs(dr[:, None] - dr[None, :])
 
 
 def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:

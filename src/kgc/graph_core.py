@@ -503,12 +503,6 @@ def _frontier_slices(frontier: np.ndarray, n: int, deg: np.ndarray):
                 yield part[a:b]
 
 
-def gromov_product(D: DistanceMatrix, x: int, y: int, z: int) -> HalfInteger:
-    """(x|y)_z = (d(x,z) + d(z,y) - d(x,y)) / 2, exactly."""
-    d = D.d
-    return HalfInteger(int(d[x, z]) + int(d[z, y]) - int(d[x, y]))
-
-
 def biconnected_blocks(D: DistanceMatrix) -> list[list[int]]:
     """Vertex sets of the biconnected blocks of the graph behind ``D``, each
     sorted ascending.  A bridge is a block of two vertices; a single vertex

@@ -1,5 +1,5 @@
 """Exact k-geodesic-center optimum by exhaustive search, for desk-scale
-verification, plus the property harnesses built on top of it.
+verification.
 
 All geodesics are enumerated (deduplicated by vertex set, single vertices
 included), coverage at each candidate radius is reduced to bitmasks, and
@@ -12,21 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import (
-    CapExceededError,
-    DistanceMatrix,
-    Graph,
-    apsp,
-    four_point_delta,
-    subdivide,
-    tau_hat_from_delta,
-)
-from .geodesics import (
-    VertexPath,
-    enumerate_geodesics,
-    family_eccentricity,
-    shortest_path,
-)
+from .graph_core import CapExceededError, DistanceMatrix, Graph
+from .geodesics import VertexPath, enumerate_geodesics
 
 
 @dataclass(frozen=True)
@@ -224,66 +211,3 @@ def exact_optimum(
                 },
             )
     raise AssertionError("unreachable: the diameter radius always covers")
-
-
-def check_rooted_relaxation(
-    g: Graph, D: DistanceMatrix, k: int, caps: OracleCaps | None = None
-) -> dict:
-    """Re-root an optimal cover at each of its endpoints and measure how far
-    the rooted family's eccentricity exceeds the optimum; the excess is
-    bounded by the thinness estimate."""
-    oracle = exact_optimum(g, D, k, caps)
-    tau = tau_hat_from_delta(four_point_delta(D))
-    endpoints = sorted({p[0] for p in oracle.witness} | {p[-1] for p in oracle.witness})
-    worst = 0
-    for r in endpoints:
-        family = [shortest_path(g, D, r, x) for x in endpoints if x != r]
-        if not family:
-            family = [(r,)]
-        worst = max(worst, family_eccentricity(g, family))
-    ok = 2 * worst <= 2 * oracle.optimum + tau.doubled
-    return {
-        "optimum": oracle.optimum,
-        "tau_hat_doubled": tau.doubled,
-        "worst_rooted_eccentricity": worst,
-        "slack": worst - oracle.optimum,
-        "ok": ok,
-    }
-
-
-def check_subdivision_lemma(
-    g: Graph,
-    D: DistanceMatrix,
-    k: int,
-    length: int,
-    caps: OracleCaps | None = None,
-) -> dict:
-    """Subdividing every edge into ``length`` hops scales the optimum by at
-    most length plus half a chain, and distances to subdivided geodesics
-    contract back to the base graph; check both directions exactly."""
-    base = exact_optimum(g, D, k, caps)
-    H = subdivide(g, length)
-    DH = apsp(H)
-    sub = exact_optimum(H, DH, k, caps)
-    bound = base.optimum * length + length // 2
-    cover_ok = sub.optimum <= bound
-
-    contraction_ok = True
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            P = shortest_path(H, DH, u, v)
-            Q = [x for x in P if x < g.n]  # original vertices keep their ids
-            for w in range(g.n):
-                dP = min(int(DH.d[w, x]) for x in P)
-                dQ = min(int(D.d[w, x]) for x in Q)
-                # the binding case of: d(w,P) < (r+1)*length implies d(w,Q) <= r
-                if dQ >= 2 and dP < dQ * length:
-                    contraction_ok = False
-    return {
-        "optimum_base": base.optimum,
-        "optimum_subdivided": sub.optimum,
-        "bound": bound,
-        "cover_ok": cover_ok,
-        "contraction_ok": contraction_ok,
-        "ok": cover_ok and contraction_ok,
-    }

@@ -25,15 +25,12 @@ beat the incumbent, and the one-root call for every binary search.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_core import DistanceMatrix, Graph
 from .geodesics import VertexPath, shortest_path
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -259,16 +256,6 @@ def verify_packing(
     return True
 
 
-def scan_root(g: Graph, D: DistanceMatrix, r: int, k: int, upto: int | None = None) -> list[bool]:
-    """Linear scan diagnostic: greedy outcome (cover?) for each radius 0..upto."""
-    limit = g.n if upto is None else upto
-    greedy = _Greedy(D)
-    return [
-        cover_or_packing(g, D, r, radius, k, greedy=greedy).is_cover
-        for radius in range(limit + 1)
-    ]
-
-
 def _search_root(
     greedy: _Greedy,
     g: Graph,
@@ -309,37 +296,7 @@ def _search_root(
     return hi, cover_at_hi, witness
 
 
-def min_radius_for_root(
-    g: Graph, D: DistanceMatrix, r: int, k: int, *, debug_scan: bool = False
-):
-    """Least greedy-covering radius for one root, the cover found there,
-    and the packing witness one step below (None when the radius is 0)."""
-    radius, cover, witness = _search_root(_Greedy(D), g, D, r, k)
-    if debug_scan:
-        outcomes = scan_root(g, D, r, k)
-        first = outcomes.index(True)
-        if any(
-            not outcomes[i] and outcomes[i - 1] for i in range(1, len(outcomes))
-        ):
-            log.warning("greedy outcome not monotone in radius for root %d", r)
-        if first != radius:
-            log.warning(
-                "root %d: binary search radius %d vs first covering radius %d",
-                r,
-                radius,
-                first,
-            )
-    return radius, cover, witness
-
-
-def best_root(
-    g: Graph,
-    D: DistanceMatrix,
-    k: int,
-    *,
-    prune: bool = True,
-    threads: int = 1,
-) -> RootedSolution:
+def best_root(g: Graph, D: DistanceMatrix, k: int, *, prune: bool = True) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
 
     With pruning on, root 0 runs its full binary search, and every later
@@ -353,15 +310,12 @@ def best_root(
     order of a one-root-at-a-time search.  With pruning off, every root
     runs its full one-root search.
 
-    The search is single-threaded; ``threads`` is validated for
-    compatibility and changes nothing.  Beyond ``D`` it holds an int16
-    copy of it, the packed ball rows of the radii it probes (n*n/8 bytes
-    each) and temporaries under the cell budget.
+    Beyond ``D`` the search holds an int16 copy of it, the packed ball rows
+    of the radii it probes (n*n/8 bytes each) and temporaries under the
+    cell budget.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     greedy = _Greedy(D)
     best: RootedSolution | None = None
     if not prune:

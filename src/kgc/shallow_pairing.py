@@ -37,46 +37,6 @@ def _check_profile(pi: Profile) -> None:
         raise ValueError(f"profile length must be even and >= 2, got {len(pi)}")
 
 
-def fiber(
-    D: DistanceMatrix, u: int, x: int, pi: Profile, tau_hat: HalfInteger
-) -> tuple[int, ...]:
-    """Profile members y with (x|y)_u >= 2*tau_hat + 1, in profile order.
-
-    Large products flag members whose geodesics to x all steer far from u;
-    a good apex is one where every fiber stays small.  One occurrence of x
-    itself is skipped (a member is never in its own fiber); any further
-    duplicates count, with (x|x)_u = d(x,u).
-    """
-    d = D.d
-    threshold = 2 * tau_hat.doubled + 2  # doubled form of 2*tau_hat + 1
-    out = []
-    skipped_self = False
-    for y in pi:
-        if y == x and not skipped_self:
-            skipped_self = True
-            continue
-        if int(d[x, u]) + int(d[u, y]) - int(d[x, y]) >= threshold:
-            out.append(y)
-    return tuple(out)
-
-
-def pairing_graph(
-    D: DistanceMatrix, v: int, pi: Profile, gamma: HalfInteger
-) -> np.ndarray:
-    """Boolean adjacency over profile positions: i ~ j iff (pi[i]|pi[j])_v <= gamma.
-
-    Distinct positions holding the same vertex x get (x|x)_v = d(x,v).
-    The diagonal is False.
-    """
-    members = np.asarray(pi, dtype=np.int64)
-    dv = D.d[members, v].astype(np.int64)
-    cross = D.d[np.ix_(members, members)].astype(np.int64)
-    doubled = dv[:, None] + dv[None, :] - cross
-    adj = doubled <= gamma.doubled
-    np.fill_diagonal(adj, False)
-    return adj
-
-
 def _max_matching(adj: Sequence[Sequence[int]], *, perfect: bool = False) -> list[int] | None:
     """Maximum-cardinality matching on a general graph (blossom contraction).
 
@@ -278,14 +238,3 @@ def paths_of_pairing(g: Graph, D: DistanceMatrix, pairing: Pairing) -> tuple[Ver
     """One canonical geodesic per pair, aligned with ``pairing.pairs``;
     a pair {u,u} yields the single-vertex path (u,)."""
     return tuple(shortest_path(g, D, x, y) for x, y in pairing.pairs)
-
-
-def total_distance(D: DistanceMatrix, pi: Profile, v: int) -> int:
-    """Sum of distances from v to every profile member."""
-    return int(sum(int(D.d[v, x]) for x in pi))
-
-
-def pairing_distance(D: DistanceMatrix, pairing: Pairing | Iterable[tuple[int, int]]) -> int:
-    """Sum of pair distances; never exceeds total_distance at any vertex."""
-    pairs = pairing.pairs if isinstance(pairing, Pairing) else tuple(pairing)
-    return int(sum(int(D.d[x, y]) for x, y in pairs))

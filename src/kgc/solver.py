@@ -37,7 +37,6 @@ class SolveOptions:
     prune: bool = True
     threads: int = 1  # validated (>= 1) only: the root search is single-threaded
     delta_max_vertices: int = DELTA_VERTEX_CAP
-    best_effort: bool = False
 
     def __post_init__(self):
         if self.threads < 1:
@@ -105,21 +104,6 @@ def bound_range(rooted_radius: int, tau: HalfInteger) -> tuple[int, int]:
     return lower, upper
 
 
-def _best_k_of_cover(g: Graph, cover, k: int):
-    """Greedy pick of k cover paths, each minimizing the family eccentricity
-    of the picks so far; ties to the earliest path."""
-    chosen: list[VertexPath] = []
-    remaining = list(cover)
-    while remaining and len(chosen) < k:
-        scored = [
-            (family_eccentricity(g, chosen + [p]), i)
-            for i, p in enumerate(remaining)
-        ]
-        _, best_i = min(scored)
-        chosen.append(remaining.pop(best_i))
-    return tuple(chosen)
-
-
 def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
     """Approximate k-geodesic center of g."""
     opts = options or SolveOptions()
@@ -136,7 +120,7 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
         tau = tau_hat_from_delta(delta)
         tau_source = "computed"
 
-    rooted = best_root(g, D, k, prune=opts.prune, threads=opts.threads)
+    rooted = best_root(g, D, k, prune=opts.prune)
     profile = build_profile(rooted, k)
     if opts.gamma_doubled is None:
         pairing = min_gamma_pairing(D, profile)
@@ -149,12 +133,6 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
     pair_paths = paths_of_pairing(g, D, pairing)
     paths = tuple(dict.fromkeys(pair_paths))  # drop duplicates, keep order
     radius = family_eccentricity(g, paths)
-
-    if opts.best_effort:
-        alt = _best_k_of_cover(g, rooted.cover, k)
-        alt_radius = family_eccentricity(g, alt)
-        if alt_radius < radius:
-            paths, radius = alt, alt_radius
 
     lower, upper = bound_range(rooted.radius, tau)
     bounds = BoundReport(tau_hat=tau, tau_source=tau_source, lower=lower, upper=upper)

@@ -1,4 +1,5 @@
-"""Shared corpus builders and naive reference implementations."""
+"""Shared corpus builders, naive reference implementations, and the
+lemma-level helpers the property tests check the paper's statements with."""
 
 from __future__ import annotations
 
@@ -10,14 +11,22 @@ import numpy as np
 from kgc import (
     DistanceMatrix,
     Graph,
+    HalfInteger,
+    OracleCaps,
     PackingWitness,
-    RootedOutcome,
+    Pairing,
     RootedSolution,
-    SplitMix64,
+    apsp,
+    exact_optimum,
+    family_eccentricity,
+    four_point_delta,
     random_connected,
     random_tree,
-    shortest_path,
+    subdivide,
 )
+from kgc.geodesics import VertexPath, shortest_path
+from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.rooted_cover import RootedOutcome, _Greedy, _search_root, cover_or_packing
 
 
 def small_graph_corpus(count: int, max_n: int, seed: int, max_m: int | None = None):
@@ -182,8 +191,6 @@ def reference_perfect_matching(H):
 def reference_find_shallow_pairing(D, pi, gamma):
     """Reference per-apex loop: one pairing graph per vertex in id order,
     apexes with an isolated position skipped, the rest matched in full."""
-    from kgc import Pairing, pairing_graph
-
     for v in range(D.n):
         H = pairing_graph(D, v, pi, gamma)
         if not H.any(axis=1).all():
@@ -198,8 +205,6 @@ def reference_find_shallow_pairing(D, pi, gamma):
 def reference_min_gamma_pairing(D, pi):
     """Reference shallowest pairing: every achieved product, ascending,
     through the per-apex loop."""
-    from kgc import HalfInteger
-
     d = D.d.astype(np.int64)
     candidates = sorted(
         {
@@ -217,10 +222,164 @@ def reference_min_gamma_pairing(D, pi):
 
 def reference_verify_packing(g, D, r, radius, vertices) -> bool:
     """Reference packing check: the covering-path test on every pair."""
-    from kgc import exists_covering_rpath
-
     members = sorted(set(vertices))
     return not any(
         exists_covering_rpath(g, D, r, x, y, radius)
         for x, y in combinations(members, 2)
     )
+
+
+# Lemma-level helpers: the quantities the paper's statements are about,
+# computed one at a time, for the property tests.
+
+
+def gromov_product(D: DistanceMatrix, x: int, y: int, z: int) -> HalfInteger:
+    """(x|y)_z = (d(x,z) + d(z,y) - d(x,y)) / 2, exactly."""
+    d = D.d
+    return HalfInteger(int(d[x, z]) + int(d[z, y]) - int(d[x, y]))
+
+
+def path_through(g: Graph, D: DistanceMatrix, r: int, a: int, b: int) -> VertexPath:
+    """Geodesic from r to b through a; requires d(r,a) + d(a,b) = d(r,b)."""
+    d = D.d
+    if int(d[r, a]) + int(d[a, b]) != int(d[r, b]):
+        raise ValueError(f"{a} does not lie between {r} and {b}")
+    return shortest_path(g, D, r, a) + shortest_path(g, D, a, b)[1:]
+
+
+def exists_covering_rpath(g: Graph, D: DistanceMatrix, r: int, u: int, w: int, radius: int) -> bool:
+    """True iff some isometric path ending at r passes within ``radius`` of
+    both u and w (the vertex-pair reduction in ``kgc.geodesics``)."""
+    d = D.d
+    dr = d[r]
+    ball_u = np.flatnonzero(d[u] <= radius)
+    ball_w = np.flatnonzero(d[w] <= radius)
+    sub = d[np.ix_(ball_u, ball_w)] == np.abs(dr[ball_u][:, None] - dr[ball_w][None, :])
+    return bool(sub.any())
+
+
+def covering_reach(g: Graph, D: DistanceMatrix, r: int, w: int, radius: int) -> np.ndarray:
+    """Boolean vector over vertices u of ``exists_covering_rpath(r, u, w, radius)``."""
+    d = D.d
+    dr = d[r]
+    ball_w = np.flatnonzero(d[w] <= radius)
+    candidates = (d[:, ball_w] == np.abs(dr[:, None] - dr[ball_w][None, :])).any(axis=1)
+    # u qualifies iff its radius-ball meets the candidate set
+    return (d[:, np.flatnonzero(candidates)] <= radius).any(axis=1)
+
+
+def fiber(D: DistanceMatrix, u: int, x: int, pi, tau_hat: HalfInteger) -> tuple[int, ...]:
+    """Profile members y with (x|y)_u >= 2*tau_hat + 1, in profile order.
+
+    One occurrence of x itself is skipped (a member is never in its own
+    fiber); any further duplicates count, with (x|x)_u = d(x,u).
+    """
+    d = D.d
+    threshold = 2 * tau_hat.doubled + 2  # doubled form of 2*tau_hat + 1
+    out = []
+    skipped_self = False
+    for y in pi:
+        if y == x and not skipped_self:
+            skipped_self = True
+            continue
+        if int(d[x, u]) + int(d[u, y]) - int(d[x, y]) >= threshold:
+            out.append(y)
+    return tuple(out)
+
+
+def pairing_graph(D: DistanceMatrix, v: int, pi, gamma: HalfInteger) -> np.ndarray:
+    """Boolean adjacency over profile positions: i ~ j iff (pi[i]|pi[j])_v <= gamma.
+
+    Distinct positions holding the same vertex x get (x|x)_v = d(x,v).
+    The diagonal is False.
+    """
+    members = np.asarray(pi, dtype=np.int64)
+    dv = D.d[members, v].astype(np.int64)
+    cross = D.d[np.ix_(members, members)].astype(np.int64)
+    adj = dv[:, None] + dv[None, :] - cross <= gamma.doubled
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def total_distance(D: DistanceMatrix, pi, v: int) -> int:
+    """Sum of distances from v to every profile member."""
+    return int(sum(int(D.d[v, x]) for x in pi))
+
+
+def pairing_distance(D: DistanceMatrix, pairing) -> int:
+    """Sum of pair distances; never exceeds total_distance at any vertex."""
+    pairs = pairing.pairs if isinstance(pairing, Pairing) else tuple(pairing)
+    return int(sum(int(D.d[x, y]) for x, y in pairs))
+
+
+def scan_root(g: Graph, D: DistanceMatrix, r: int, k: int, upto: int | None = None) -> list[bool]:
+    """Greedy outcome (cover?) from root r at each radius 0..upto (default n)."""
+    limit = g.n if upto is None else upto
+    greedy = _Greedy(D)
+    return [
+        cover_or_packing(g, D, r, radius, k, greedy=greedy).is_cover
+        for radius in range(limit + 1)
+    ]
+
+
+def min_radius_for_root(g: Graph, D: DistanceMatrix, r: int, k: int):
+    """Least greedy-covering radius for one root, the cover found there,
+    and the packing witness one step below (None when the radius is 0)."""
+    return _search_root(_Greedy(D), g, D, r, k)
+
+
+def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCaps | None = None) -> dict:
+    """Re-root an optimal cover at each of its endpoints and measure how far
+    the rooted family's eccentricity exceeds the optimum; the excess is
+    bounded by the thinness estimate."""
+    oracle = exact_optimum(g, D, k, caps)
+    tau = tau_hat_from_delta(four_point_delta(D))
+    endpoints = sorted({p[0] for p in oracle.witness} | {p[-1] for p in oracle.witness})
+    worst = 0
+    for r in endpoints:
+        family = [shortest_path(g, D, r, x) for x in endpoints if x != r]
+        if not family:
+            family = [(r,)]
+        worst = max(worst, family_eccentricity(g, family))
+    ok = 2 * worst <= 2 * oracle.optimum + tau.doubled
+    return {
+        "optimum": oracle.optimum,
+        "tau_hat_doubled": tau.doubled,
+        "worst_rooted_eccentricity": worst,
+        "slack": worst - oracle.optimum,
+        "ok": ok,
+    }
+
+
+def check_subdivision_lemma(
+    g: Graph, D: DistanceMatrix, k: int, length: int, caps: OracleCaps | None = None
+) -> dict:
+    """Subdividing every edge into ``length`` hops scales the optimum by at
+    most length plus half a chain, and distances to subdivided geodesics
+    contract back to the base graph; check both directions exactly."""
+    base = exact_optimum(g, D, k, caps)
+    H = subdivide(g, length)
+    DH = apsp(H)
+    sub = exact_optimum(H, DH, k, caps)
+    bound = base.optimum * length + length // 2
+    cover_ok = sub.optimum <= bound
+
+    contraction_ok = True
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            P = shortest_path(H, DH, u, v)
+            Q = [x for x in P if x < g.n]  # original vertices keep their ids
+            for w in range(g.n):
+                dP = min(int(DH.d[w, x]) for x in P)
+                dQ = min(int(D.d[w, x]) for x in Q)
+                # the binding case of: d(w,P) < (r+1)*length implies d(w,Q) <= r
+                if dQ >= 2 and dP < dQ * length:
+                    contraction_ok = False
+    return {
+        "optimum_base": base.optimum,
+        "optimum_subdivided": sub.optimum,
+        "bound": bound,
+        "cover_ok": cover_ok,
+        "contraction_ok": contraction_ok,
+        "ok": cover_ok and contraction_ok,
+    }

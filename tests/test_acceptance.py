@@ -21,36 +21,37 @@ import pytest
 
 from kgc import (
     Graph,
+    HalfInteger,
     SolveOptions,
-    SplitMix64,
     apsp,
-    check_subdivision_lemma,
-    cover_or_packing,
     cycle_graph,
     exact_optimum,
-    exists_covering_rpath,
-    enumerate_geodesics,
     family_eccentricity,
-    find_shallow_pairing,
     four_point_delta,
     grid_graph,
-    gromov_product,
     is_isometric,
-    pairing_distance,
     path_graph,
     random_connected,
     random_tree,
     solve,
-    solve_tree,
     star_graph,
     subdivide,
-    tau_hat_from_delta,
-    total_distance,
     verify_packing,
-    HalfInteger,
 )
-from kgc.geodesics import covering_reach
-from conftest import graph_key
+from kgc.geodesics import enumerate_geodesics
+from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.rooted_cover import cover_or_packing
+from kgc.shallow_pairing import find_shallow_pairing
+from kgc.solver import solve_tree
+from conftest import (
+    check_subdivision_lemma,
+    covering_reach,
+    exists_covering_rpath,
+    graph_key,
+    gromov_product,
+    pairing_distance,
+    total_distance,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

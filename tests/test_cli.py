@@ -5,7 +5,6 @@ import json
 from kgc import (
     apsp,
     cycle_graph,
-    exists_covering_rpath,
     load_graph,
     path_graph,
     random_connected,
@@ -15,6 +14,7 @@ from kgc import (
     subdivide,
 )
 from kgc.cli import main
+from conftest import exists_covering_rpath
 
 
 def write_graph(tmp_path, g, name):
@@ -338,6 +338,48 @@ def test_verify_fails_non_integer_path_vertex(tmp_path, capsys):
     _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "cover", edits)
 
 
+def test_verify_fails_pairs_not_matching_paths(tmp_path, capsys):
+    # the paths run between the distinct pairs, in order: [2, 19], [14, 21]
+    def swap_pairs(data):
+        pairs = data["pairing"]["pairs"]
+        pairs[0], pairs[1] = pairs[1], pairs[0]
+
+    edits = [swap_pairs, _edit("pairing", "pairs", 0, to=lambda p: p[::-1])]
+    edits += [_edit("pairing", "pairs", 0, 0, to=t) for t in _NON_INTEGERS]
+    edits += [
+        _edit("pairing", "pairs", to=t)
+        for t in (None, len, str, lambda v: v[:1], lambda v: [p + p for p in v])
+    ]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "pairing", edits)
+
+
+def test_verify_checks_rooted_cover(tmp_path, capsys):
+    # three geodesics out of root 2, at most 2k - 1 = 3
+    edits = [
+        _edit("rooted", "cover", to=lambda v: v + v[:1]),  # 4 paths
+        _edit("rooted", "cover", 0, to=lambda p: p[::-1]),  # not from the root
+        _edit("rooted", "cover", 2, to=lambda p: p + [p[-2]]),  # not isometric
+        _edit("rooted", "cover", 0, 0, to=str),
+        _edit("rooted", "cover", to=lambda v: []),
+        _edit("rooted", "cover"),
+    ]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "rooted", edits)
+
+
+def test_verify_fails_rooted_radius_below_computed_upper(tmp_path, capsys):
+    # rooted.R 2 lowered to 0 needs no witness, and bounds 0/1 match it;
+    # with tau computed, upper 1 must bound the paths' eccentricity 2
+    def lower_rooted_radius(data):
+        data["rooted"].update(R=0, packing_witness=None)
+        data["bounds"].update(lower=0, upper=1)
+
+    code, report = _verify_tampered(tmp_path, capsys, random_tree(30, 7), 2, lower_rooted_radius)
+    assert code == 1 and report["ok"] is False
+    assert report["cover"]["eccentricity"] == 2
+    assert report["bounds"] == {"lower": 0, "upper": 1, "ok": False}
+    assert report["rooted"]["ok"] is True and "packing" not in report
+
+
 def _bounds_edits(field):
     changes = (lambda v: v - 1, lambda v: v + 1, lambda v: -5, lambda v: 10**6, None)
     return [_edit("bounds", field, to=t) for t in (*changes, *_NON_INTEGERS)]
@@ -357,6 +399,7 @@ def test_verify_recomputes_bounds_from_tau_hat(tmp_path, capsys):
     g = random_connected(30, 36, 5)  # tau > 0
     edits = _bounds_edits("tau_hat_doubled")
     edits.append(_edit("bounds", to=lambda v: [v["lower"], v["upper"]]))
+    edits += [_edit("bounds", "tau_source", to=t) for t in (None, str.upper, lambda v: 0)]
     _assert_each_edit_fails(tmp_path, capsys, g, 2, "bounds", edits)
 
 
@@ -409,43 +452,11 @@ def test_gen_infeasible(tmp_path, capsys):
     assert code == 1
 
 
-def test_bench_csv(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "bench", "--family", "path", "--sizes", "20,30",
-                           "-k", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,m,k,R_u,radius,tau_hat_doubled,wall_ms"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "20" and first[3] == "0" and first[4] == "0"
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KGC_THREADS", "3")
-    from kgc.cli import build_parser
-
-    args = build_parser().parse_args(["solve", "-g", "x", "-k", "1"])
-    assert args.threads == 3
-    monkeypatch.setenv("KGC_THREADS", "junk")
-    args = build_parser().parse_args(["solve", "-g", "x", "-k", "1"])
-    assert args.threads == 1
-
-
 def test_solve_rejects_threads_below_one(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(5), "p5.txt")
     for threads in ("0", "-3"):
         code, out, err = run_cli(capsys, "solve", "-g", gpath, "-k", "1",
                                  "--threads", threads)
-        assert code == 1
-        assert out == ""
-        assert "threads must be >= 1" in err
-
-
-def test_threads_env_below_one_exits_one(tmp_path, capsys, monkeypatch):
-    gpath = write_graph(tmp_path, path_graph(5), "p5.txt")
-    for threads in ("0", "-2"):
-        monkeypatch.setenv("KGC_THREADS", threads)
-        code, out, err = run_cli(capsys, "solve", "-g", gpath, "-k", "1")
         assert code == 1
         assert out == ""
         assert "threads must be >= 1" in err

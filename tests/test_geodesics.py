@@ -4,21 +4,23 @@ import pytest
 
 from kgc import (
     CapExceededError,
-    SplitMix64,
     apsp,
     cycle_graph,
-    enumerate_geodesics,
-    exists_covering_rpath,
     family_eccentricity,
     grid_graph,
     is_isometric,
     path_graph,
-    path_through,
-    shortest_path,
     star_graph,
 )
-from kgc.geodesics import covering_reach, geodesic_alignment
-from conftest import naive_family_eccentricity, small_graph_corpus
+from kgc.geodesics import enumerate_geodesics, shortest_path
+from kgc.graph_core import SplitMix64
+from conftest import (
+    covering_reach,
+    exists_covering_rpath,
+    naive_family_eccentricity,
+    path_through,
+    small_graph_corpus,
+)
 
 
 def brute_covering_rpath(g, D, r, u, w, radius) -> bool:
@@ -116,18 +118,6 @@ def test_exists_covering_rpath_matches_brute_force():
                         expected = brute_covering_rpath(g, D, r, u, w, radius)
                         assert bool(reach[w][u]) == expected
                         assert exists_covering_rpath(g, D, r, u, w, radius) == expected
-
-
-def test_covering_reach_with_cached_alignment():
-    for g in small_graph_corpus(4, 8, seed=52):
-        D = apsp(g)
-        for r in range(g.n):
-            aligned = geodesic_alignment(D, r)
-            for w in range(0, g.n, 2):
-                for radius in (0, 1, 2):
-                    plain = covering_reach(g, D, r, w, radius)
-                    cached = covering_reach(g, D, r, w, radius, aligned=aligned)
-                    assert (plain == cached).all()
 
 
 def test_family_eccentricity_examples():

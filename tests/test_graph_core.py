@@ -10,13 +10,11 @@ from kgc import (
     GraphFormatError,
     GraphValidationError,
     HalfInteger,
-    SplitMix64,
     apsp,
     cycle_graph,
     four_point_delta,
     generate,
     grid_graph,
-    gromov_product,
     load_graph,
     path_graph,
     random_connected,
@@ -28,8 +26,14 @@ from kgc import (
 import numpy as np
 
 from kgc import graph_core
-from kgc.graph_core import biconnected_blocks
-from conftest import naive_delta_doubled, reference_apsp, small_graph_corpus, tree_corpus
+from kgc.graph_core import SplitMix64, biconnected_blocks
+from conftest import (
+    gromov_product,
+    naive_delta_doubled,
+    reference_apsp,
+    small_graph_corpus,
+    tree_corpus,
+)
 
 
 # ---------------------------------------------------------------------------

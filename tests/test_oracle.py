@@ -8,10 +8,7 @@ from kgc import (
     CapExceededError,
     OracleCaps,
     apsp,
-    check_rooted_relaxation,
-    check_subdivision_lemma,
     cycle_graph,
-    enumerate_geodesics,
     family_eccentricity,
     grid_graph,
     is_isometric,
@@ -21,7 +18,13 @@ from kgc import (
     star_graph,
     solve,
 )
-from conftest import naive_family_eccentricity, small_graph_corpus
+from kgc.geodesics import enumerate_geodesics
+from conftest import (
+    check_rooted_relaxation,
+    check_subdivision_lemma,
+    naive_family_eccentricity,
+    small_graph_corpus,
+)
 
 
 def brute_optimum(g, D, k):

