@@ -28,7 +28,7 @@ from .graph_core import (
 )
 from .geodesics import family_eccentricity, is_isometric
 from .oracle import OracleCaps, exact_optimum
-from .rooted_cover import verify_packing
+from .rooted_cover import cover_or_packing, verify_packing
 from .solver import SolveOptions, bound_range, solve
 
 EXIT_OK = 0
@@ -62,8 +62,6 @@ def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
     opts = SolveOptions(
         tau_hat_doubled=args.tau_hat_doubled,
-        gamma_doubled=args.gamma_doubled,
-        prune=not args.no_prune,
         threads=args.threads,
         delta_max_vertices=args.delta_cap,
     )
@@ -128,95 +126,90 @@ def cmd_verify(args) -> int:
     if not isinstance(data, dict):
         raise ValueError("artifact must be a JSON object")
 
+    # the artifacts the CLI writes, a solve result or an exact optimum,
+    # both carry paths and k
     paths = data.get("paths")
     if paths is None:
-        paths = data.get("cover")
+        raise ValueError("nothing to verify: the artifact has no 'paths'")
     k = data.get("k")
-    if k is not None and type(k) is not int:
-        raise ValueError(f"artifact k must be an integer, got {k!r}")
+    if type(k) is not int or not 1 <= k <= g.n:
+        raise ValueError(f"artifact k must be an integer in [1, {g.n}], got {k!r}")
     report: dict = {}
-    ok = True
-    ecc = None
 
     # a malformed field fails its check instead of raising: paths must be
     # lists of vertex ids, the root and the witness members vertex ids, and
     # the radii integers
-    if paths is not None:
-        count = len(paths) if isinstance(paths, list) else None
-        shaped = count is not None and all(_is_vertex_list(p, g.n) for p in paths)
-        within_k = k is None or (count is not None and count <= k)
-        isometric = shaped and all(is_isometric(D, p) for p in paths)
-        ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
-        cover_ok = within_k and isometric and ecc is not None and ecc <= args.radius
-        report["cover"] = {
-            "paths": count,
-            "within_k": within_k,
-            "isometric": isometric,
-            "eccentricity": ecc,
-            "radius": args.radius,
-            "ok": cover_ok,
-        }
-        ok = ok and cover_ok
+    count = len(paths) if isinstance(paths, list) else None
+    shaped = count is not None and all(_is_vertex_list(p, g.n) for p in paths)
+    within_k = count is not None and count <= k
+    isometric = shaped and all(is_isometric(D, p) for p in paths)
+    ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
+    cover_ok = within_k and isometric and ecc is not None and ecc <= args.radius
+    report["cover"] = {
+        "paths": count,
+        "within_k": within_k,
+        "isometric": isometric,
+        "eccentricity": ecc,
+        "radius": args.radius,
+        "ok": cover_ok,
+    }
+    ok = cover_ok
 
-        pairing = data.get("pairing")
-        if pairing is not None:
-            # the paths run between the distinct pairs, in the pairs' order
-            pairs = _field(pairing, "pairs")
-            pairs_ok = (
-                shaped
-                and all(paths)
-                and isinstance(pairs, list)
-                and all(_is_vertex_list(p, g.n) and len(p) == 2 for p in pairs)
-                and [(p[0], p[-1]) for p in paths] == list(dict.fromkeys(map(tuple, pairs)))
-            )
-            report["pairing"] = {
-                "pairs": len(pairs) if isinstance(pairs, list) else None,
-                "ok": pairs_ok,
-            }
-            ok = ok and pairs_ok
-    else:
-        report["cover"] = None
+    pairing = data.get("pairing")
+    if pairing is not None:
+        # the paths run between the distinct pairs, in the pairs' order
+        pairs = _field(pairing, "pairs")
+        pairs_ok = (
+            shaped
+            and all(paths)
+            and isinstance(pairs, list)
+            and all(_is_vertex_list(p, g.n) and len(p) == 2 for p in pairs)
+            and [(p[0], p[-1]) for p in paths] == list(dict.fromkeys(map(tuple, pairs)))
+        )
+        report["pairing"] = {
+            "pairs": len(pairs) if isinstance(pairs, list) else None,
+            "ok": pairs_ok,
+        }
+        ok = ok and pairs_ok
 
     rooted = data.get("rooted")
-    if rooted is None and "packing_witness" in data:
-        rooted = data
     root, rooted_radius = _field(rooted, "root"), _field(rooted, "R")
     if rooted is not None:
-        # the rooted cover: at most 2k-1 geodesics, each out of the root
+        # the rooted cover: at most 2k-1 geodesics, each out of the root, and
+        # the very cover the greedy returns from the root at rooted.R, so a
+        # lowered rooted.R fails even with tau supplied
         rooted_cover = _field(rooted, "cover")
         count = len(rooted_cover) if isinstance(rooted_cover, list) else None
         rooted_ok = (
             count is not None
-            and 0 < count
-            and (k is None or count <= 2 * k - 1)
+            and 0 < count <= 2 * k - 1
             and _is_vertex(root, g.n)
             and all(
                 _is_vertex_list(p, g.n) and p[:1] == [root] and is_isometric(D, p)
                 for p in rooted_cover
             )
+            and type(rooted_radius) is int
+            and rooted_radius >= 0
+            and cover_or_packing(g, D, root, rooted_radius, k).cover
+            == tuple(map(tuple, rooted_cover))
         )
         report["rooted"] = {"paths": count, "ok": rooted_ok}
         ok = ok and rooted_ok
 
     witness = _field(rooted, "packing_witness")
-    # with k known, a rooted radius above 0 is shown least only by a witness
-    if witness or (k is not None and rooted is not None and rooted_radius != 0):
+    # a rooted radius above 0 is shown least only by a witness
+    if witness or (rooted is not None and rooted_radius != 0):
         witness_radius, vertices = _field(witness, "R"), _field(witness, "vertices")
-        # with k known, the witness must be the 2k-vertex packing one step
-        # below the rooted radius, or it does not show that radius is least
+        # the witness must be the 2k-vertex packing one step below the
+        # rooted radius, or it does not show that radius is least
         shape_ok = (
             isinstance(vertices, list)
             and all(_is_vertex(v, g.n) for v in (root, *vertices))
+            and len(set(vertices)) == len(vertices) == 2 * k
             and type(witness_radius) is int
             and witness_radius >= 0
-            and (
-                k is None
-                or (
-                    len(set(vertices)) == len(vertices) == 2 * k
-                    and type(rooted_radius) is int
-                    and witness_radius == rooted_radius - 1
-                )
-            )
+            and type(rooted_radius) is int
+            and witness_radius == rooted_radius - 1
         )
         packing_ok = shape_ok and verify_packing(g, D, root, witness_radius, vertices)
         report["packing"] = {
@@ -249,8 +242,6 @@ def cmd_verify(args) -> int:
         report["bounds"] = {"lower": lower, "upper": upper, "ok": bounds_ok}
         ok = ok and bounds_ok
 
-    if report.get("cover") is None and "packing" not in report:
-        raise ValueError("nothing to verify: no 'paths', 'cover', or packing witness")
     report["ok"] = ok
     _emit_json(report, args.output)
     return EXIT_OK if ok else EXIT_INVALID
@@ -273,15 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="approximate k-geodesic center")
     add_graph(p)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--gamma-doubled", type=int, default=None,
-                   help="fixed pairing shallowness (doubled); default adaptive")
     p.add_argument("--tau-hat-doubled", type=int, default=None,
                    help="supplied thinness bound (doubled); default computed")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility, must be >= 1; the root search "
                    "is single-threaded, so this changes neither output nor schedule")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable incumbent pruning across roots")
     p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
                    help=_DELTA_CAP_HELP)
     add_output(p)

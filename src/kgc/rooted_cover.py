@@ -262,53 +262,43 @@ def _search_root(
     D: DistanceMatrix,
     r: int,
     k: int,
-    hi: int | None = None,
-    cover: tuple[VertexPath, ...] | None = None,
+    hi: int,
+    cover: tuple[VertexPath, ...],
 ):
-    """Binary search for the least radius at which the greedy covers from r.
+    """Binary search for the least radius at which the greedy covers from r,
+    starting from the cover ``cover`` the caller has seen at radius ``hi``.
 
     Bracket invariant: packing observed at lo (lo = -1 counts vacuously),
-    cover observed at hi (hi = n holds a priori: at radius n a single
-    trivial path reaches everything).  A caller that has already seen the
-    cover ``cover`` at radius ``hi`` starts from there.  Returns (radius,
-    cover, witness).
+    cover observed at hi.  Returns (radius, cover, witness).
     """
     lo = -1
-    if hi is None:
-        hi = g.n
-    cover_at_hi = cover
     packing_at_lo: tuple[int, ...] | None = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
         out = cover_or_packing(g, D, r, mid, k, greedy=greedy)
         if out.is_cover:
-            hi, cover_at_hi = mid, out.cover
+            hi, cover = mid, out.cover
         else:
             lo, packing_at_lo = mid, out.packing
-    if cover_at_hi is None:
-        out = cover_or_packing(g, D, r, hi, k, greedy=greedy)
-        cover_at_hi = out.cover
-        if cover_at_hi is None:  # pragma: no cover - radius n always covers
-            raise AssertionError(f"no cover at radius {hi} from root {r}")
     witness = None
     if hi > 0:
         witness = PackingWitness(radius=hi - 1, vertices=packing_at_lo)
-    return hi, cover_at_hi, witness
+    return hi, cover, witness
 
 
-def best_root(g: Graph, D: DistanceMatrix, k: int, *, prune: bool = True) -> RootedSolution:
+def best_root(g: Graph, D: DistanceMatrix, k: int) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
 
-    With pruning on, root 0 runs its full binary search, and every later
-    root is probed once at one below the incumbent radius: a packing there
-    means it cannot beat the incumbent (a tie loses to the lower id).
-    Those probes run in lockstep, in chunks of consecutive roots that start
-    at ``_FIRST_CHUNK`` and double up to the cell budget.  The lowest
-    covering root of a chunk finishes its own search from that cover and
-    becomes the incumbent; the roots after it are probed again at the new
-    radius, and the chunk size resets.  This is the result and the probe
-    order of a one-root-at-a-time search.  With pruning off, every root
-    runs its full one-root search.
+    Roots are probed once at one below the incumbent radius: a packing
+    there means the root cannot beat the incumbent (a tie loses to the
+    lower id).  The incumbent starts at n + 1, so the first probe is at
+    radius n, where every root covers.  Probes run in lockstep, in chunks
+    of consecutive roots that start at ``_FIRST_CHUNK`` and double up to
+    the cell budget.  The lowest covering root of a chunk finishes its own
+    binary search from that cover and becomes the incumbent; the roots
+    after it are probed again at the new radius, and the chunk size
+    resets.  This is the result and the probe order of a one-root-at-a-time
+    search.
 
     Beyond ``D`` the search holds an int16 copy of it, the packed ball rows
     of the radii it probes (n*n/8 bytes each) and temporaries under the
@@ -318,25 +308,18 @@ def best_root(g: Graph, D: DistanceMatrix, k: int, *, prune: bool = True) -> Roo
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
     greedy = _Greedy(D)
     best: RootedSolution | None = None
-    if not prune:
-        for r in range(g.n):
-            radius, cover, witness = _search_root(greedy, g, D, r, k)
-            if best is None or radius < best.radius:
-                best = RootedSolution(root=r, radius=radius, cover=cover, packing_witness=witness)
-        return best
-    radius, cover, witness = _search_root(greedy, g, D, 0, k)
-    best = RootedSolution(root=0, radius=radius, cover=cover, packing_witness=witness)
-    r, size = 1, min(_FIRST_CHUNK, greedy.max_roots())
-    while r < g.n and best.radius > 0:
+    incumbent = g.n + 1
+    r, size = 0, min(_FIRST_CHUNK, greedy.max_roots())
+    while r < g.n and incumbent > 0:
         roots = np.arange(r, min(g.n, r + size))
-        covered, picks = greedy.run(roots, best.radius - 1, k)
+        covered, picks = greedy.run(roots, incumbent - 1, k)
         hits = covered.nonzero()[0]
         if not hits.size:
             r, size = r + roots.size, min(2 * size, greedy.max_roots())
             continue
         root = r + int(hits[0])
         first = _outcome(g, D, root, True, picks[hits[0]]).cover
-        radius, cover, witness = _search_root(greedy, g, D, root, k, best.radius - 1, first)
-        best = RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+        incumbent, cover, witness = _search_root(greedy, g, D, root, k, incumbent - 1, first)
+        best = RootedSolution(root=root, radius=incumbent, cover=cover, packing_witness=witness)
         r, size = root + 1, min(_FIRST_CHUNK, greedy.max_roots())
     return best

@@ -194,26 +194,17 @@ def _apex_products(D: DistanceMatrix, pi: Profile) -> tuple[np.ndarray, np.ndarr
 
 
 def _first_apex_pairing(
-    pi: Profile, prod: np.ndarray, need: np.ndarray, gamma: HalfInteger
+    pi: Profile, prod: np.ndarray, need: np.ndarray, doubled: int
 ) -> Pairing | None:
-    """First apex (in id order) whose pairing graph at ``gamma`` has a perfect
-    matching, with the least such matching.  Only apexes that leave no
-    position isolated are tried, and only the winner's matching is built."""
-    limit = min(max(gamma.doubled, -1), _NO_PAIR - 1)
-    for v in (need <= limit).nonzero()[0].tolist():
-        H = prod[:, :, v] <= limit
+    """First apex (in id order) whose pairing graph at doubled gamma
+    ``doubled`` has a perfect matching, with the least such matching.  Only
+    apexes that leave no position isolated are tried, and only the winner's
+    matching is built."""
+    for v in (need <= doubled).nonzero()[0].tolist():
+        H = prod[:, :, v] <= doubled
         if _max_matching(_neighbours(H), perfect=True) is not None:
-            return _pairing_from_positions(pi, v, gamma, perfect_matching(H))
+            return _pairing_from_positions(pi, v, HalfInteger(doubled), perfect_matching(H))
     return None
-
-
-def find_shallow_pairing(
-    D: DistanceMatrix, pi: Profile, gamma: HalfInteger
-) -> Pairing | None:
-    """First vertex (in id order) whose pairing graph at ``gamma`` has a
-    perfect matching, together with that matching; None if no vertex works."""
-    prod, need = _apex_products(D, pi)
-    return _first_apex_pairing(pi, prod, need, gamma)
 
 
 def min_gamma_pairing(D: DistanceMatrix, pi: Profile) -> Pairing:
@@ -228,7 +219,7 @@ def min_gamma_pairing(D: DistanceMatrix, pi: Profile) -> Pairing:
     iu = np.triu_indices(len(pi), k=1)
     achieved = np.bincount(prod[iu].ravel())  # products are >= 0
     for doubled in achieved.nonzero()[0].tolist():
-        pairing = _first_apex_pairing(pi, prod, need, HalfInteger(doubled))
+        pairing = _first_apex_pairing(pi, prod, need, doubled)
         if pairing is not None:
             return pairing
     raise AssertionError("unreachable: complete pairing graph at max product")

@@ -22,19 +22,12 @@ from .graph_core import (
 )
 from .geodesics import VertexPath, family_eccentricity
 from .rooted_cover import RootedSolution, best_root
-from .shallow_pairing import (
-    Pairing,
-    find_shallow_pairing,
-    min_gamma_pairing,
-    paths_of_pairing,
-)
+from .shallow_pairing import Pairing, min_gamma_pairing, paths_of_pairing
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     tau_hat_doubled: int | None = None  # None: compute 4 * four-point delta
-    gamma_doubled: int | None = None  # None: adaptive minimum gamma
-    prune: bool = True
     threads: int = 1  # validated (>= 1) only: the root search is single-threaded
     delta_max_vertices: int = DELTA_VERTEX_CAP
 
@@ -120,16 +113,8 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
         tau = tau_hat_from_delta(delta)
         tau_source = "computed"
 
-    rooted = best_root(g, D, k, prune=opts.prune)
-    profile = build_profile(rooted, k)
-    if opts.gamma_doubled is None:
-        pairing = min_gamma_pairing(D, profile)
-    else:
-        pairing = find_shallow_pairing(D, profile, HalfInteger(opts.gamma_doubled))
-        if pairing is None:
-            raise ValueError(
-                f"no shallow pairing at gamma_doubled={opts.gamma_doubled}"
-            )
+    rooted = best_root(g, D, k)
+    pairing = min_gamma_pairing(D, build_profile(rooted, k))
     pair_paths = paths_of_pairing(g, D, pairing)
     paths = tuple(dict.fromkeys(pair_paths))  # drop duplicates, keep order
     radius = family_eccentricity(g, paths)

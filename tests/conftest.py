@@ -325,7 +325,9 @@ def scan_root(g: Graph, D: DistanceMatrix, r: int, k: int, upto: int | None = No
 def min_radius_for_root(g: Graph, D: DistanceMatrix, r: int, k: int):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    return _search_root(_Greedy(D), g, D, r, k)
+    greedy = _Greedy(D)
+    cover = cover_or_packing(g, D, r, g.n, k, greedy=greedy).cover  # radius n covers
+    return _search_root(greedy, g, D, r, k, g.n, cover)
 
 
 def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCaps | None = None) -> dict:

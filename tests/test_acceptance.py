@@ -41,7 +41,7 @@ from kgc import (
 from kgc.geodesics import enumerate_geodesics
 from kgc.graph_core import SplitMix64, tau_hat_from_delta
 from kgc.rooted_cover import cover_or_packing
-from kgc.shallow_pairing import find_shallow_pairing
+from kgc.shallow_pairing import min_gamma_pairing
 from kgc.solver import solve_tree
 from conftest import (
     check_subdivision_lemma,
@@ -252,15 +252,16 @@ def test_criterion_5_shallow_pairing():
         k = 1 + rng.below(4)
         pi = tuple(rng.below(g.n) for _ in range(2 * k))
         gamma = HalfInteger(2 * tau.doubled + 1)  # 2*tau + 1/2
-        pairing = find_shallow_pairing(D, pi, gamma)
-        if pairing is None:
+        # a pairing graph only gains edges as gamma grows, so a pairing
+        # exists at this shallowness exactly when the least gamma is at most it
+        pairing = min_gamma_pairing(D, pi)
+        if pairing.gamma.doubled > gamma.doubled:
             failures.append(("missing", g.n, g.m, pi))
-        else:
-            if sorted(v for pair in pairing.pairs for v in pair) != sorted(pi):
-                failures.append(("partition", g.n, pi))
-            for x, y in pairing.pairs:
-                if gromov_product(D, x, y, pairing.apex).doubled > gamma.doubled:
-                    failures.append(("bound", g.n, pi, (x, y)))
+        if sorted(v for pair in pairing.pairs for v in pair) != sorted(pi):
+            failures.append(("partition", g.n, pi))
+        for x, y in pairing.pairs:
+            if gromov_product(D, x, y, pairing.apex).doubled > pairing.gamma.doubled:
+                failures.append(("bound", g.n, pi, (x, y)))
         profiles += 1
 
     duality = 0

@@ -10,6 +10,7 @@ from kgc import (
     random_connected,
     random_tree,
     serialize_graph,
+    solve,
     star_graph,
     subdivide,
 )
@@ -158,11 +159,11 @@ def test_solve_large_tree_default_cap(tmp_path, capsys):
     assert json.loads(out)["bounds"]["tau_source"] == "computed"
 
 
-def _verify_tampered(tmp_path, capsys, g, k, edit):
+def _verify_tampered(tmp_path, capsys, g, k, edit, *solve_args):
     """Solve g, check the artifact verifies, apply edit, verify again."""
     gpath = write_graph(tmp_path, g, "g.txt")
     solved = tmp_path / "out.json"
-    run_cli(capsys, "solve", "-g", gpath, "-k", str(k), "-o", str(solved))
+    run_cli(capsys, "solve", "-g", gpath, "-k", str(k), "-o", str(solved), *solve_args)
     data = json.loads(solved.read_text())
     argv = ("verify", "-g", gpath, "--cover", str(solved), "--radius", str(data["radius"]))
     assert run_cli(capsys, *argv)[0] == 0
@@ -366,18 +367,65 @@ def test_verify_checks_rooted_cover(tmp_path, capsys):
     _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "rooted", edits)
 
 
-def test_verify_fails_rooted_radius_below_computed_upper(tmp_path, capsys):
-    # rooted.R 2 lowered to 0 needs no witness, and bounds 0/1 match it;
-    # with tau computed, upper 1 must bound the paths' eccentricity 2
-    def lower_rooted_radius(data):
-        data["rooted"].update(R=0, packing_witness=None)
-        data["bounds"].update(lower=0, upper=1)
+def _lower_rooted_radius(data):
+    # rooted.R 2 lowered to 0 needs no witness, and bounds 0/1 match it
+    data["rooted"].update(R=0, packing_witness=None)
+    data["bounds"].update(lower=0, upper=1)
 
-    code, report = _verify_tampered(tmp_path, capsys, random_tree(30, 7), 2, lower_rooted_radius)
+
+def test_verify_fails_rooted_radius_below_computed_upper(tmp_path, capsys):
+    # with tau computed, upper 1 must bound the paths' eccentricity 2; the
+    # greedy re-run at R 0 fails the rooted check as well
+    g = random_tree(30, 7)
+    code, report = _verify_tampered(tmp_path, capsys, g, 2, _lower_rooted_radius)
     assert code == 1 and report["ok"] is False
     assert report["cover"]["eccentricity"] == 2
     assert report["bounds"] == {"lower": 0, "upper": 1, "ok": False}
-    assert report["rooted"]["ok"] is True and "packing" not in report
+    assert report["rooted"]["ok"] is False and "packing" not in report
+
+
+def test_verify_reruns_greedy_at_rooted_radius(tmp_path, capsys):
+    # a supplied tau makes upper bound nothing, so the bounds pass; the
+    # greedy from the root at R 0 returns a packing, not the rooted cover
+    def relabel_tau(data):
+        _lower_rooted_radius(data)
+        data["bounds"]["tau_source"] = "supplied"
+
+    g = random_tree(30, 7)
+    tampers = [
+        (_lower_rooted_radius, ("--tau-hat-doubled", "0")),
+        (relabel_tau, ()),
+    ]
+    for edit, solve_args in tampers:
+        code, report = _verify_tampered(tmp_path, capsys, g, 2, edit, *solve_args)
+        assert code == 1 and report["ok"] is False
+        assert report["bounds"]["ok"] is True and "packing" not in report
+        assert report["rooted"]["ok"] is False
+    # geodesics out of the root, but not the ones the greedy picks
+    edits = [
+        _edit("rooted", "cover", to=lambda v: v[:-1]),
+        _edit("rooted", "cover", to=lambda v: v[::-1]),
+    ]
+    _assert_each_edit_fails(tmp_path, capsys, g, 2, "rooted", edits)
+
+
+def test_verify_requires_paths(tmp_path, capsys):
+    # only the shapes the CLI writes: a bare rooted solution, or paths
+    # under "cover", are not verified
+    g = random_tree(30, 7)
+    gpath = write_graph(tmp_path, g, "g.txt")
+    result = solve(g, 2)
+    rooted = result.rooted.as_dict()
+    artifact = tmp_path / "rooted.json"
+    for payload in (
+        rooted,
+        {"k": 2, "rooted": rooted},
+        {"k": 2, "cover": [list(p) for p in result.paths]},
+    ):
+        artifact.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact),
+                                 "--radius", str(result.radius))
+        assert code == 1 and out == "" and "nothing to verify" in err
 
 
 def _bounds_edits(field):
@@ -422,7 +470,11 @@ def test_verify_reports_recomputed_bounds(tmp_path, capsys):
 def test_verify_rejects_malformed_top_level(tmp_path, capsys):
     gpath = write_graph(tmp_path, path_graph(4), "p4.txt")
     artifact = tmp_path / "bad.json"
-    for payload in ([[0, 1, 2, 3]], {"k": "2", "paths": [[0, 1, 2, 3]]}):
+    paths = [[0, 1, 2, 3]]
+    # both shapes the CLI writes carry a k in [1, n]
+    payloads = [paths, {"k": "2", "paths": paths}, {"paths": paths}, {"k": 0, "paths": paths},
+                {"k": 5, "paths": paths}]
+    for payload in payloads:
         artifact.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact),
                                  "--radius", "0")

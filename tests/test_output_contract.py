@@ -4,7 +4,9 @@ bytes exactly, not only match the commit before it.
 The digests were recorded with the one-root-at-a-time root search, before
 the lockstep kernel replaced it, and ``cyclic-200-s3`` (default options,
 so tau is computed) with an ``apsp`` that searched the whole graph, before
-it searched only the 2-core.  Regenerate them only for a change that is
+it searched only the 2-core.  ``grid-6x5-k4`` was recorded with every
+root running its full radius search (the since-deleted ``--no-prune``),
+whose bytes the pruned search reproduces.  Regenerate them only for a change that is
 meant to alter the output, and say so in the changelog.
 """
 
@@ -24,7 +26,6 @@ CASES = {
     "cyclic-350-s1": (lambda: random_connected(350, 420, 1), CYCLIC),
     "cyclic-350-s2": (lambda: random_connected(350, 420, 2), CYCLIC),
     "cyclic-200-s3": (lambda: random_connected(200, 230, 3), ["-k", "4"]),
-    "cyclic-350-s2-no-prune": (lambda: random_connected(350, 420, 2), [*CYCLIC, "--no-prune"]),
     "cyclic-350-s2-threads": (
         lambda: random_connected(350, 420, 2),
         [*CYCLIC, "--threads", "2"],
@@ -32,7 +33,7 @@ CASES = {
     "tree-700-s1": (lambda: random_tree(700, 1), TREE),
     "tree-700-s2": (lambda: random_tree(700, 2), TREE),
     "grid-6x5-k2": (lambda: grid_graph(6, 5), ["-k", "2"]),
-    "grid-6x5-k4-no-prune": (lambda: grid_graph(6, 5), ["-k", "4", "--no-prune"]),
+    "grid-6x5-k4": (lambda: grid_graph(6, 5), ["-k", "4"]),
     "cycle-12-k1": (lambda: cycle_graph(12), ["-k", "1"]),
     "cycle-12-k2": (lambda: cycle_graph(12), ["-k", "2"]),
     "cycle-12-k2-threads": (lambda: cycle_graph(12), ["-k", "2", "--threads", "2"]),
@@ -45,10 +46,9 @@ DIGESTS = {
     "cyclic-200-s3": "350db6d10b99339c31ac8446a4a10447e2dceeebea7632e2c2f35d14ccabca5f",
     "cyclic-350-s1": "e557e1989392ce2542445eec0d36765143124ae9c78fd3c19c4588bd3ef90f1c",
     "cyclic-350-s2": "53e058053e97045e7eadf8e9029e70d96ae67c51f4d3bf3b68643bc2c1c62450",
-    "cyclic-350-s2-no-prune": "53e058053e97045e7eadf8e9029e70d96ae67c51f4d3bf3b68643bc2c1c62450",
     "cyclic-350-s2-threads": "53e058053e97045e7eadf8e9029e70d96ae67c51f4d3bf3b68643bc2c1c62450",
     "grid-6x5-k2": "60dbf5db20761d0050e42fdf23f305943e9d5e83d8eeac09214f8e2aba51ff66",
-    "grid-6x5-k4-no-prune": "78ed41cd1dc9d1af5605817918841492ee456067d2ab580724d326d8bcc6d9c1",
+    "grid-6x5-k4": "78ed41cd1dc9d1af5605817918841492ee456067d2ab580724d326d8bcc6d9c1",
     "tree-700-s1": "354af86d3a1537b1be2255940e7453747efda8ac0c1ad985f9eeec6109547b9e",
     "tree-700-s2": "a875141cb8df6ae10e250aed2a7d93f38fa9ce6d48e40ecc55808d6578b839cc",
 }

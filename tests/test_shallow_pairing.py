@@ -19,7 +19,6 @@ from kgc.graph_core import SplitMix64, tau_hat_from_delta
 from kgc.rooted_cover import best_root
 from kgc.shallow_pairing import (
     _max_matching,
-    find_shallow_pairing,
     min_gamma_pairing,
     paths_of_pairing,
     perfect_matching,
@@ -30,7 +29,6 @@ from conftest import (
     gromov_product,
     pairing_distance,
     pairing_graph,
-    reference_find_shallow_pairing,
     reference_min_gamma_pairing,
     small_graph_corpus,
     total_distance,
@@ -226,8 +224,8 @@ def test_max_matching_odd_cycle_blossom():
 def test_find_shallow_pairing_star():
     g = star_graph(4)
     D = apsp(g)
-    p = find_shallow_pairing(D, (1, 2, 3, 4), HalfInteger(1))
-    assert p is not None
+    p = min_gamma_pairing(D, (1, 2, 3, 4))
+    assert p.gamma == HalfInteger(0)
     assert p.apex == 0
     assert p.pairs == ((1, 2), (3, 4))
 
@@ -235,8 +233,8 @@ def test_find_shallow_pairing_star():
 def test_find_shallow_pairing_repeated_profile():
     g = path_graph(5)
     D = apsp(g)
-    p = find_shallow_pairing(D, (0, 4, 0, 4), HalfInteger(0))
-    assert p is not None
+    p = min_gamma_pairing(D, (0, 4, 0, 4))
+    assert p.gamma == HalfInteger(0)
     assert p.apex == 0  # first id admitting a matching
     assert p.pairs == ((0, 4), (0, 4))
 
@@ -244,8 +242,8 @@ def test_find_shallow_pairing_repeated_profile():
 def test_find_shallow_pairing_avoids_duplicate_pair():
     g = star_graph(3)
     D = apsp(g)
-    p = find_shallow_pairing(D, (1, 2, 3, 1), HalfInteger(0))
-    assert p is not None
+    p = min_gamma_pairing(D, (1, 2, 3, 1))
+    assert p.gamma == HalfInteger(0)
     # (1|1)_0 = 1 > 0, so the two copies of leaf 1 cannot pair together
     assert p.apex == 0
     assert p.pairs == ((1, 2), (1, 3))
@@ -288,11 +286,13 @@ def test_pairing_invariants_random():
         gamma = HalfInteger(2 * tau.doubled + 1)  # 2*tau + 1/2
         for k in (1, 2, 3):
             pi = tuple(rng.below(g.n) for _ in range(2 * k))
-            p = find_shallow_pairing(D, pi, gamma)
-            assert p is not None  # guaranteed at this shallowness
+            p = min_gamma_pairing(D, pi)
+            # a pairing exists at this shallowness, and pairing graphs only
+            # gain edges as gamma grows, so the least gamma is no larger
+            assert p.gamma.doubled <= gamma.doubled
             assert sorted(v for pair in p.pairs for v in pair) == sorted(pi)
             for x, y in p.pairs:
-                assert gromov_product(D, x, y, p.apex).doubled <= gamma.doubled
+                assert gromov_product(D, x, y, p.apex).doubled <= p.gamma.doubled
 
 
 def test_apex_near_pair_geodesics():
@@ -328,11 +328,11 @@ def test_apex_on_pair_geodesics_in_trees():
 def test_paths_of_pairing_examples():
     g = star_graph(4)
     D = apsp(g)
-    p = find_shallow_pairing(D, (1, 2, 3, 4), HalfInteger(1))
+    p = min_gamma_pairing(D, (1, 2, 3, 4))
     assert paths_of_pairing(g, D, p) == ((1, 0, 2), (3, 0, 4))
     p5 = path_graph(5)
     D5 = apsp(p5)
-    pair = find_shallow_pairing(D5, (0, 4), HalfInteger.from_int(5))
+    pair = min_gamma_pairing(D5, (0, 4))
     assert paths_of_pairing(p5, D5, pair) == ((0, 1, 2, 3, 4),)
 
 
@@ -367,7 +367,7 @@ def test_weak_duality_random():
 def test_profile_validation():
     D = apsp(path_graph(4))
     with pytest.raises(ValueError):
-        find_shallow_pairing(D, (0,), HalfInteger(0))
+        min_gamma_pairing(D, (0,))
     with pytest.raises(ValueError):
         min_gamma_pairing(D, (0, 1, 2))
 
@@ -409,22 +409,6 @@ def test_min_gamma_pairing_matches_reference():
                 assert min_gamma_pairing(D, pi) == expected
                 positive += expected.gamma.doubled > 0
     assert positive >= 20
-
-
-def test_find_shallow_pairing_matches_reference():
-    rng = SplitMix64(3131)
-    found = missing = 0
-    for g in _pairing_corpus():
-        D = apsp(g)
-        for k in (1, 2, 4, 7):
-            for pi in _profiles(rng, g.n, k):
-                for doubled in (-1, 0, 1, 2, 3, 5, 2**40):
-                    gamma = HalfInteger(doubled)
-                    expected = reference_find_shallow_pairing(D, pi, gamma)
-                    assert find_shallow_pairing(D, pi, gamma) == expected
-                    found += expected is not None
-                    missing += expected is None
-    assert found >= 100 and missing >= 100
 
 
 def _brute_max_matching_size(n, edges):

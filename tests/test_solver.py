@@ -132,17 +132,6 @@ def test_tree_radius_equals_rooted_radius():
             assert res.radius == res.rooted.radius
 
 
-def test_fixed_gamma_mode():
-    g = star_graph(5)
-    D = apsp(g)
-    tau = tau_hat_from_delta(four_point_delta(D))
-    res = solve(g, 2, SolveOptions(gamma_doubled=2 * tau.doubled + 1))
-    assert res.pairing.gamma == HalfInteger(2 * tau.doubled + 1)
-    assert res.radius == 1
-    with pytest.raises(ValueError, match="no shallow pairing"):
-        solve(path_graph(6), 2, SolveOptions(gamma_doubled=-2))
-
-
 def test_supplied_tau_recorded():
     g = star_graph(4)
     res = solve(g, 1, SolveOptions(tau_hat_doubled=6))
@@ -180,10 +169,7 @@ def test_deterministic_serialization():
         c = json.dumps(
             solve(g, 2, SolveOptions(threads=4)).as_dict(), sort_keys=True
         )
-        d = json.dumps(
-            solve(g, 2, SolveOptions(prune=False)).as_dict(), sort_keys=True
-        )
-        assert a == b == c == d
+        assert a == b == c
 
 
 def test_large_tree_solves_with_default_options():
