@@ -15,7 +15,6 @@ from .graph_core import (
     Graph,
     GraphFormatError,
     GraphValidationError,
-    HalfInteger,
     apsp,
     cycle_graph,
     four_point_delta,
@@ -44,7 +43,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "GraphValidationError",
-    "HalfInteger",
     "apsp",
     "cycle_graph",
     "four_point_delta",

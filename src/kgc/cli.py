@@ -18,7 +18,6 @@ from .graph_core import (
     Graph,
     GraphFormatError,
     GraphValidationError,
-    HalfInteger,
     apsp,
     four_point_delta,
     generate,
@@ -60,11 +59,9 @@ def _emit_json(payload, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
-    opts = SolveOptions(
-        tau_hat_doubled=args.tau_hat_doubled,
-        threads=args.threads,
-        delta_max_vertices=args.delta_cap,
-    )
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+    opts = SolveOptions(tau_hat_doubled=args.tau_hat_doubled, delta_max_vertices=args.delta_cap)
     result = solve(g, args.k, opts)
     _emit_json(result.as_dict(), args.output)
     return EXIT_OK
@@ -80,8 +77,8 @@ def cmd_exact(args) -> int:
 
 def cmd_delta(args) -> int:
     g = _read_graph(args.graph)
-    delta = four_point_delta(apsp(g), max_vertices=args.cap)
-    _emit_json({"delta_doubled": delta.doubled}, args.output)
+    delta_doubled = four_point_delta(apsp(g), max_vertices=args.cap)
+    _emit_json({"delta_doubled": delta_doubled}, args.output)
     return EXIT_OK
 
 
@@ -144,7 +141,17 @@ def cmd_verify(args) -> int:
     within_k = count is not None and count <= k
     isometric = shaped and all(is_isometric(D, p) for p in paths)
     ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
-    cover_ok = within_k and isometric and ecc is not None and ecc <= args.radius
+    # the artifact's own radius (a solve's radius or an exact optimum) must
+    # equal the paths' eccentricity, which --radius only bounds
+    claimed = data.get("radius")
+    cover_ok = (
+        within_k
+        and isometric
+        and ecc is not None
+        and ecc <= args.radius
+        and type(claimed) is int
+        and claimed == ecc
+    )
     report["cover"] = {
         "paths": count,
         "within_k": within_k,
@@ -231,7 +238,7 @@ def cmd_verify(args) -> int:
             and type(rooted_radius) is int
             and source in ("computed", "supplied")
         ):
-            expected = bound_range(rooted_radius, HalfInteger(tau))
+            expected = bound_range(rooted_radius, tau)
         reported = (_field(bounds, "lower"), _field(bounds, "upper"))
         bounds_ok = all(type(x) is int for x in reported) and reported == expected
         lower, upper = expected or (None, None)

@@ -3,8 +3,8 @@ and four-point hyperbolicity.
 
 Everything here is exact integer arithmetic.  Half-integral quantities
 (Gromov products, hyperbolicity, shallowness thresholds) are carried as
-doubled integers via :class:`HalfInteger`, so comparisons against
-thresholds like ``2*tau + 1/2`` never involve floats.
+doubled ints, named ``*_doubled`` like their JSON keys, so comparisons
+against thresholds like ``2*tau + 1/2`` never involve floats.
 """
 
 from __future__ import annotations
@@ -32,48 +32,6 @@ class GraphValidationError(ValueError):
 
 class CapExceededError(RuntimeError):
     """An operation would exceed its configured resource cap."""
-
-
-@dataclass(frozen=True, order=True)
-class HalfInteger:
-    """An exact multiple of 1/2, stored as its doubled integer value."""
-
-    doubled: int
-
-    @classmethod
-    def from_int(cls, value: int) -> HalfInteger:
-        return cls(2 * value)
-
-    def __add__(self, other: HalfInteger | int) -> HalfInteger:
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.doubled + other.doubled)
-        return HalfInteger(self.doubled + 2 * other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: HalfInteger | int) -> HalfInteger:
-        if isinstance(other, HalfInteger):
-            return HalfInteger(self.doubled - other.doubled)
-        return HalfInteger(self.doubled - 2 * other)
-
-    def __mul__(self, factor: int) -> HalfInteger:
-        return HalfInteger(self.doubled * factor)
-
-    __rmul__ = __mul__
-
-    def floor(self) -> int:
-        return self.doubled // 2
-
-    def ceil(self) -> int:
-        return -((-self.doubled) // 2)
-
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def __str__(self) -> str:
-        if self.is_integer():
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
 
 
 @dataclass(frozen=True)
@@ -547,11 +505,10 @@ def biconnected_blocks(D: DistanceMatrix) -> list[list[int]]:
     return blocks
 
 
-def four_point_delta(
-    D: DistanceMatrix, *, max_vertices: int = DELTA_VERTEX_CAP
-) -> HalfInteger:
-    """Smallest delta such that, over every vertex quadruple, the two larger
-    of the three pairing distance-sums differ by at most 2*delta.
+def four_point_delta(D: DistanceMatrix, *, max_vertices: int = DELTA_VERTEX_CAP) -> int:
+    """Doubled four-point hyperbolicity, as an int: 2*delta, the largest
+    gap over every vertex quadruple between the two larger of its three
+    pairing distance-sums.
 
     Computed block by block, exactly.  Every biconnected block is an
     isometric subgraph, so the block's rows and columns of ``D`` are its
@@ -576,7 +533,7 @@ def four_point_delta(
     for block in blocks:
         if len(block) >= 4:
             best = max(best, _pair_scan_delta_doubled(D.d[np.ix_(block, block)]))
-    return HalfInteger(best)
+    return best
 
 
 def _pair_scan_delta_doubled(dist: np.ndarray) -> int:
@@ -606,7 +563,3 @@ def _pair_scan_delta_doubled(dist: np.ndarray) -> int:
             best = diff
     return best
 
-
-def tau_hat_from_delta(delta: HalfInteger) -> HalfInteger:
-    """Certified thinness upper bound: four times the four-point delta."""
-    return HalfInteger(4 * delta.doubled)

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import DistanceMatrix, Graph, HalfInteger
+from .graph_core import DistanceMatrix, Graph
 from .geodesics import VertexPath, shortest_path
 
 Profile = Sequence[int]
@@ -28,7 +28,7 @@ class Pairing:
     """A partition of an even profile into pairs, valid at one apex."""
 
     apex: int
-    gamma: HalfInteger
+    gamma_doubled: int
     pairs: tuple[tuple[int, int], ...]
 
 
@@ -168,10 +168,10 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
 
 
 def _pairing_from_positions(
-    pi: Profile, apex: int, gamma: HalfInteger, matched: Iterable[tuple[int, int]]
+    pi: Profile, apex: int, gamma_doubled: int, matched: Iterable[tuple[int, int]]
 ) -> Pairing:
     pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
-    return Pairing(apex=apex, gamma=gamma, pairs=tuple(pairs))
+    return Pairing(apex=apex, gamma_doubled=gamma_doubled, pairs=tuple(pairs))
 
 
 # Stands in for the excluded (i, i) products: above every real product (at
@@ -203,7 +203,7 @@ def _first_apex_pairing(
     for v in (need <= doubled).nonzero()[0].tolist():
         H = prod[:, :, v] <= doubled
         if _max_matching(_neighbours(H), perfect=True) is not None:
-            return _pairing_from_positions(pi, v, HalfInteger(doubled), perfect_matching(H))
+            return _pairing_from_positions(pi, v, doubled, perfect_matching(H))
     return None
 
 

@@ -10,16 +10,9 @@ is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
-from .graph_core import (
-    DELTA_VERTEX_CAP,
-    Graph,
-    HalfInteger,
-    apsp,
-    four_point_delta,
-    tau_hat_from_delta,
-)
+from .graph_core import DELTA_VERTEX_CAP, Graph, apsp, four_point_delta
 from .geodesics import VertexPath, family_eccentricity
 from .rooted_cover import RootedSolution, best_root
 from .shallow_pairing import Pairing, min_gamma_pairing, paths_of_pairing
@@ -28,28 +21,15 @@ from .shallow_pairing import Pairing, min_gamma_pairing, paths_of_pairing
 @dataclass(frozen=True)
 class SolveOptions:
     tau_hat_doubled: int | None = None  # None: compute 4 * four-point delta
-    threads: int = 1  # validated (>= 1) only: the root search is single-threaded
     delta_max_vertices: int = DELTA_VERTEX_CAP
-
-    def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    tau_hat: HalfInteger
+    tau_hat_doubled: int
     tau_source: str  # "computed" or "supplied"
     lower: int  # optimum >= this (integer, so the half-integer bound is ceiled)
     upper: int  # radius <= this
-
-    def as_dict(self) -> dict:
-        return {
-            "tau_hat_doubled": self.tau_hat.doubled,
-            "tau_source": self.tau_source,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
 
 
 @dataclass(frozen=True)
@@ -68,12 +48,8 @@ class SolveResult:
             "radius": self.radius,
             "paths": [list(p) for p in self.paths],
             "rooted": self.rooted.as_dict(),
-            "pairing": {
-                "apex": self.pairing.apex,
-                "gamma_doubled": self.pairing.gamma.doubled,
-                "pairs": [list(p) for p in self.pairing.pairs],
-            },
-            "bounds": self.bounds.as_dict(),
+            "pairing": asdict(self.pairing),
+            "bounds": asdict(self.bounds),
             "exact": self.exact,
         }
 
@@ -87,13 +63,13 @@ def build_profile(rooted: RootedSolution, k: int) -> tuple[int, ...]:
     return (u, *endpoints, *([u] * padding))
 
 
-def bound_range(rooted_radius: int, tau: HalfInteger) -> tuple[int, int]:
-    """The bound report's (lower, upper) for a rooted radius and a thinness
-    bound: the optimum is at least ``rooted_radius - tau`` (ceiled, and
-    never below 0), and the returned radius at most
+def bound_range(rooted_radius: int, tau_doubled: int) -> tuple[int, int]:
+    """The bound report's (lower, upper) for a rooted radius and a doubled
+    thinness bound tau: the optimum is at least ``rooted_radius - tau``
+    (ceiled, and never below 0), and the returned radius at most
     ``rooted_radius + 5*tau + 1`` (floored)."""
-    lower = max(0, HalfInteger(2 * rooted_radius - tau.doubled).ceil())
-    upper = HalfInteger(2 * rooted_radius + 5 * tau.doubled + 2).floor()
+    lower = max(0, rooted_radius - tau_doubled // 2)
+    upper = rooted_radius + 1 + 5 * tau_doubled // 2
     return lower, upper
 
 
@@ -106,11 +82,11 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
     if opts.tau_hat_doubled is not None:
         if opts.tau_hat_doubled < 0:
             raise ValueError("tau_hat_doubled must be >= 0")
-        tau = HalfInteger(opts.tau_hat_doubled)
+        tau = opts.tau_hat_doubled
         tau_source = "supplied"
     else:
-        delta = four_point_delta(D, max_vertices=opts.delta_max_vertices)
-        tau = tau_hat_from_delta(delta)
+        # thinness is at most four times the four-point delta
+        tau = 4 * four_point_delta(D, max_vertices=opts.delta_max_vertices)
         tau_source = "computed"
 
     rooted = best_root(g, D, k)
@@ -120,7 +96,7 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
     radius = family_eccentricity(g, paths)
 
     lower, upper = bound_range(rooted.radius, tau)
-    bounds = BoundReport(tau_hat=tau, tau_source=tau_source, lower=lower, upper=upper)
+    bounds = BoundReport(tau_hat_doubled=tau, tau_source=tau_source, lower=lower, upper=upper)
     return SolveResult(
         k=k, paths=paths, radius=radius, rooted=rooted, pairing=pairing, bounds=bounds
     )

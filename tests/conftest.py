@@ -11,7 +11,6 @@ import numpy as np
 from kgc import (
     DistanceMatrix,
     Graph,
-    HalfInteger,
     OracleCaps,
     PackingWitness,
     Pairing,
@@ -25,7 +24,7 @@ from kgc import (
     subdivide,
 )
 from kgc.geodesics import VertexPath, shortest_path
-from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.graph_core import SplitMix64
 from kgc.rooted_cover import RootedOutcome, _Greedy, _search_root, cover_or_packing
 
 
@@ -188,17 +187,17 @@ def reference_perfect_matching(H):
     return tuple(pairs)
 
 
-def reference_find_shallow_pairing(D, pi, gamma):
+def reference_find_shallow_pairing(D, pi, gamma_doubled):
     """Reference per-apex loop: one pairing graph per vertex in id order,
     apexes with an isolated position skipped, the rest matched in full."""
     for v in range(D.n):
-        H = pairing_graph(D, v, pi, gamma)
+        H = pairing_graph(D, v, pi, gamma_doubled)
         if not H.any(axis=1).all():
             continue
         matched = reference_perfect_matching(H)
         if matched is not None:
             pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
-            return Pairing(apex=v, gamma=gamma, pairs=tuple(pairs))
+            return Pairing(apex=v, gamma_doubled=gamma_doubled, pairs=tuple(pairs))
     return None
 
 
@@ -214,7 +213,7 @@ def reference_min_gamma_pairing(D, pi):
         }
     )
     for doubled in candidates:
-        pairing = reference_find_shallow_pairing(D, pi, HalfInteger(doubled))
+        pairing = reference_find_shallow_pairing(D, pi, doubled)
         if pairing is not None:
             return pairing
     raise AssertionError("no pairing at the largest product")
@@ -233,10 +232,10 @@ def reference_verify_packing(g, D, r, radius, vertices) -> bool:
 # computed one at a time, for the property tests.
 
 
-def gromov_product(D: DistanceMatrix, x: int, y: int, z: int) -> HalfInteger:
-    """(x|y)_z = (d(x,z) + d(z,y) - d(x,y)) / 2, exactly."""
+def gromov_product(D: DistanceMatrix, x: int, y: int, z: int) -> int:
+    """Doubled (x|y)_z: 2 (x|y)_z = d(x,z) + d(z,y) - d(x,y), exactly."""
     d = D.d
-    return HalfInteger(int(d[x, z]) + int(d[z, y]) - int(d[x, y]))
+    return int(d[x, z]) + int(d[z, y]) - int(d[x, y])
 
 
 def path_through(g: Graph, D: DistanceMatrix, r: int, a: int, b: int) -> VertexPath:
@@ -268,14 +267,14 @@ def covering_reach(g: Graph, D: DistanceMatrix, r: int, w: int, radius: int) -> 
     return (d[:, np.flatnonzero(candidates)] <= radius).any(axis=1)
 
 
-def fiber(D: DistanceMatrix, u: int, x: int, pi, tau_hat: HalfInteger) -> tuple[int, ...]:
+def fiber(D: DistanceMatrix, u: int, x: int, pi, tau_hat_doubled: int) -> tuple[int, ...]:
     """Profile members y with (x|y)_u >= 2*tau_hat + 1, in profile order.
 
     One occurrence of x itself is skipped (a member is never in its own
     fiber); any further duplicates count, with (x|x)_u = d(x,u).
     """
     d = D.d
-    threshold = 2 * tau_hat.doubled + 2  # doubled form of 2*tau_hat + 1
+    threshold = 2 * tau_hat_doubled + 2  # doubled form of 2*tau_hat + 1
     out = []
     skipped_self = False
     for y in pi:
@@ -287,8 +286,8 @@ def fiber(D: DistanceMatrix, u: int, x: int, pi, tau_hat: HalfInteger) -> tuple[
     return tuple(out)
 
 
-def pairing_graph(D: DistanceMatrix, v: int, pi, gamma: HalfInteger) -> np.ndarray:
-    """Boolean adjacency over profile positions: i ~ j iff (pi[i]|pi[j])_v <= gamma.
+def pairing_graph(D: DistanceMatrix, v: int, pi, gamma_doubled: int) -> np.ndarray:
+    """Boolean adjacency over profile positions: i ~ j iff 2 (pi[i]|pi[j])_v <= gamma_doubled.
 
     Distinct positions holding the same vertex x get (x|x)_v = d(x,v).
     The diagonal is False.
@@ -296,7 +295,7 @@ def pairing_graph(D: DistanceMatrix, v: int, pi, gamma: HalfInteger) -> np.ndarr
     members = np.asarray(pi, dtype=np.int64)
     dv = D.d[members, v].astype(np.int64)
     cross = D.d[np.ix_(members, members)].astype(np.int64)
-    adj = dv[:, None] + dv[None, :] - cross <= gamma.doubled
+    adj = dv[:, None] + dv[None, :] - cross <= gamma_doubled
     np.fill_diagonal(adj, False)
     return adj
 
@@ -335,7 +334,7 @@ def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCap
     the rooted family's eccentricity exceeds the optimum; the excess is
     bounded by the thinness estimate."""
     oracle = exact_optimum(g, D, k, caps)
-    tau = tau_hat_from_delta(four_point_delta(D))
+    tau = 4 * four_point_delta(D)  # doubled
     endpoints = sorted({p[0] for p in oracle.witness} | {p[-1] for p in oracle.witness})
     worst = 0
     for r in endpoints:
@@ -343,10 +342,10 @@ def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCap
         if not family:
             family = [(r,)]
         worst = max(worst, family_eccentricity(g, family))
-    ok = 2 * worst <= 2 * oracle.optimum + tau.doubled
+    ok = 2 * worst <= 2 * oracle.optimum + tau
     return {
         "optimum": oracle.optimum,
-        "tau_hat_doubled": tau.doubled,
+        "tau_hat_doubled": tau,
         "worst_rooted_eccentricity": worst,
         "slack": worst - oracle.optimum,
         "ok": ok,

@@ -21,7 +21,6 @@ import pytest
 
 from kgc import (
     Graph,
-    HalfInteger,
     SolveOptions,
     apsp,
     cycle_graph,
@@ -39,7 +38,7 @@ from kgc import (
     verify_packing,
 )
 from kgc.geodesics import enumerate_geodesics
-from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.graph_core import SplitMix64
 from kgc.rooted_cover import cover_or_packing
 from kgc.shallow_pairing import min_gamma_pairing
 from kgc.solver import solve_tree
@@ -94,7 +93,7 @@ def general_instances():
         g = random_connected(n, m, rng.next_u64())
         k = 1 + i % 2
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         res = solve(g, k)
         opt = exact_optimum(g, D, k).optimum
         records.append((g, D, k, tau, res, opt))
@@ -135,8 +134,8 @@ def test_criterion_2_additive_guarantee(general_instances):
     for g, D, k, tau, res, opt in records:
         gap_doubled = 2 * (res.radius - opt)
         worst_doubled = max(worst_doubled, gap_doubled)
-        if gap_doubled < 0 or gap_doubled > 6 * tau.doubled + 2:
-            failures.append((g.n, g.m, k, res.radius, opt, tau.doubled))
+        if gap_doubled < 0 or gap_doubled > 6 * tau + 2:
+            failures.append((g.n, g.m, k, res.radius, opt, tau))
     report(
         2,
         "additive guarantee",
@@ -156,9 +155,7 @@ def test_criterion_3_certificates(tree_instances, general_instances):
     packing_checked = 0
     lower_checked = 0
     failures = []
-    combined = [
-        (g, D, k, res, opt, HalfInteger(0)) for g, D, k, res, opt in tree_instances[0]
-    ]
+    combined = [(g, D, k, res, opt, 0) for g, D, k, res, opt in tree_instances[0]]
     combined += [
         (g, D, k, res, opt, tau) for g, D, k, tau, res, opt in general_instances[0]
     ]
@@ -174,7 +171,7 @@ def test_criterion_3_certificates(tree_instances, general_instances):
             ):
                 failures.append(("packing", g.n, g.m, k))
             packing_checked += 1
-        if 2 * opt < 2 * rooted.radius - tau.doubled:
+        if 2 * opt < 2 * rooted.radius - tau:
             failures.append(("lower-bound", g.n, g.m, k, opt, rooted.radius))
         lower_checked += 1
     report(
@@ -203,7 +200,7 @@ def test_criterion_4_dichotomy():
     while tuples < 1000:
         g = graphs[tuples % len(graphs)]
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         r = rng.below(g.n)
         radius = rng.below(int(D.d.max()) + 1)
         k = 1 + rng.below(3)
@@ -215,7 +212,7 @@ def test_criterion_4_dichotomy():
                 1 <= len(out.cover) <= 2 * k - 1
                 and all(p[0] == r and is_isometric(D, p) for p in out.cover)
                 and 2 * family_eccentricity(g, out.cover)
-                <= 2 * radius + 2 * tau.doubled
+                <= 2 * radius + 2 * tau
             )
         else:
             ok = len(out.packing) == 2 * k and verify_packing(
@@ -247,20 +244,20 @@ def test_criterion_5_shallow_pairing():
         g = graphs[profiles % len(graphs)]
         key = graph_key(g)
         if key not in taus:
-            taus[key] = (apsp(g), tau_hat_from_delta(four_point_delta(apsp(g))))
+            taus[key] = (apsp(g), 4 * four_point_delta(apsp(g)))
         D, tau = taus[key]
         k = 1 + rng.below(4)
         pi = tuple(rng.below(g.n) for _ in range(2 * k))
-        gamma = HalfInteger(2 * tau.doubled + 1)  # 2*tau + 1/2
+        gamma = 2 * tau + 1  # 2*tau + 1/2
         # a pairing graph only gains edges as gamma grows, so a pairing
         # exists at this shallowness exactly when the least gamma is at most it
         pairing = min_gamma_pairing(D, pi)
-        if pairing.gamma.doubled > gamma.doubled:
+        if pairing.gamma_doubled > gamma:
             failures.append(("missing", g.n, g.m, pi))
         if sorted(v for pair in pairing.pairs for v in pair) != sorted(pi):
             failures.append(("partition", g.n, pi))
         for x, y in pairing.pairs:
-            if gromov_product(D, x, y, pairing.apex).doubled > pairing.gamma.doubled:
+            if gromov_product(D, x, y, pairing.apex) > pairing.gamma_doubled:
                 failures.append(("bound", g.n, pi, (x, y)))
         profiles += 1
 
@@ -428,7 +425,7 @@ def test_criterion_8_performance():
     # is supplied (min(w,h)-1 = 24 for the square grid, doubled 48, x4).
     g = grid_graph(25, 25)
     start = time.perf_counter()
-    res = solve(g, 3, SolveOptions(tau_hat_doubled=4 * 48, threads=4))
+    res = solve(g, 3, SolveOptions(tau_hat_doubled=4 * 48))
     grid_elapsed = time.perf_counter() - start
     D = apsp(g)
     assert all(is_isometric(D, p) for p in res.paths)

@@ -339,6 +339,33 @@ def test_verify_fails_non_integer_path_vertex(tmp_path, capsys):
     _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "cover", edits)
 
 
+def test_verify_rejects_edited_solve_radius(tmp_path, capsys):
+    # the artifact's radius must be the paths' eccentricity (2 here), also
+    # where --radius, left at 2, still bounds that eccentricity
+    edits = [_edit("radius", to=t) for t in (lambda v: 0, lambda v: v - 1, lambda v: v + 1)]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "cover", edits)
+
+
+def test_verify_rejects_edited_exact_radius(tmp_path, capsys):
+    # an exact artifact's radius is its claimed optimum
+    gpath = write_graph(tmp_path, random_tree(30, 7), "g.txt")
+    artifact = tmp_path / "exact.json"
+    run_cli(capsys, "exact", "-g", gpath, "-k", "2", "-o", str(artifact))
+    data = json.loads(artifact.read_text())
+    argv = ("verify", "-g", gpath, "--cover", str(artifact), "--radius", str(data["radius"]))
+    assert run_cli(capsys, *argv)[0] == 0
+    for claimed in (0, data["radius"] - 1, data["radius"] + 1):
+        artifact.write_text(json.dumps({**data, "radius": claimed}))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["cover"]["ok"] is False
+
+
+def test_verify_fails_missing_or_non_integer_radius(tmp_path, capsys):
+    edits = [_edit("radius", to=t) for t in (None, *_NON_INTEGERS)]
+    _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "cover", edits)
+
+
 def test_verify_fails_pairs_not_matching_paths(tmp_path, capsys):
     # the paths run between the distinct pairs, in order: [2, 19], [14, 21]
     def swap_pairs(data):

@@ -9,7 +9,6 @@ from kgc import (
     Graph,
     GraphFormatError,
     GraphValidationError,
-    HalfInteger,
     apsp,
     cycle_graph,
     four_point_delta,
@@ -34,23 +33,6 @@ from conftest import (
     small_graph_corpus,
     tree_corpus,
 )
-
-
-# ---------------------------------------------------------------------------
-# HalfInteger
-# ---------------------------------------------------------------------------
-
-
-def test_halfinteger_arithmetic_and_order():
-    h = HalfInteger(3)  # 3/2
-    assert h + 1 == HalfInteger(5)
-    assert h + HalfInteger(1) == HalfInteger(4)
-    assert 2 * h == HalfInteger(6)
-    assert h.floor() == 1 and h.ceil() == 2
-    assert HalfInteger(4).floor() == 2 and HalfInteger(4).ceil() == 2
-    assert HalfInteger(-3).ceil() == -1 and HalfInteger(-3).floor() == -2
-    assert HalfInteger(2) < HalfInteger(3)
-    assert str(HalfInteger(3)) == "3/2" and str(HalfInteger(4)) == "2"
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +340,10 @@ def test_distance_matrix_axioms():
 
 def test_gromov_product_examples():
     D = apsp(path_graph(3))
-    assert gromov_product(D, 0, 2, 1) == HalfInteger(0)
-    assert gromov_product(D, 0, 1, 2) == HalfInteger.from_int(1)
+    assert gromov_product(D, 0, 2, 1) == 0
+    assert gromov_product(D, 0, 1, 2) == 2
     D = apsp(star_graph(3))
-    assert gromov_product(D, 1, 2, 0) == HalfInteger(0)
+    assert gromov_product(D, 1, 2, 0) == 0
 
 
 def test_gromov_product_identity():
@@ -371,10 +353,10 @@ def test_gromov_product_identity():
             for y in range(g.n):
                 for z in range(g.n):
                     gp = gromov_product(D, x, y, z)
-                    assert gp.doubled >= 0
+                    assert gp >= 0
                     # (x|y)_z + (x|z)_y recovers d(y,z)
                     assert (
-                        gp.doubled + gromov_product(D, x, z, y).doubled
+                        gp + gromov_product(D, x, z, y)
                         == 2 * D.dist(y, z)
                     )
 
@@ -382,16 +364,17 @@ def test_gromov_product_identity():
 def test_four_point_delta_trees_are_zero():
     for seed in range(6):
         g = random_tree(5 + 7 * seed, seed)
-        assert four_point_delta(apsp(g)) == HalfInteger(0)
+        assert four_point_delta(apsp(g)) == 0
 
 
 def test_four_point_delta_frozen_values():
     # brute-force derived: C4 and C6 give delta 1, C8 and the 3x3 grid give 2
-    assert four_point_delta(apsp(cycle_graph(4))) == HalfInteger.from_int(1)
-    assert four_point_delta(apsp(cycle_graph(6))) == HalfInteger.from_int(1)
-    assert four_point_delta(apsp(cycle_graph(8))) == HalfInteger.from_int(2)
-    assert four_point_delta(apsp(grid_graph(3, 3))) == HalfInteger.from_int(2)
-    assert four_point_delta(apsp(cycle_graph(5))) == HalfInteger(1)  # 1/2
+    # (four_point_delta returns the doubled delta)
+    assert four_point_delta(apsp(cycle_graph(4))) == 2
+    assert four_point_delta(apsp(cycle_graph(6))) == 2
+    assert four_point_delta(apsp(cycle_graph(8))) == 4
+    assert four_point_delta(apsp(grid_graph(3, 3))) == 4
+    assert four_point_delta(apsp(cycle_graph(5))) == 1  # 1/2
 
 
 def _bridged_c5s() -> Graph:
@@ -431,7 +414,7 @@ def _multi_block_graphs():
 def test_four_point_delta_matches_naive():
     for g in [*small_graph_corpus(12, 10, seed=4), *_multi_block_graphs()]:
         D = apsp(g)
-        assert four_point_delta(D).doubled == naive_delta_doubled(D)
+        assert four_point_delta(D) == naive_delta_doubled(D)
 
 
 def _induced_connected(g: Graph, vertices: set[int]) -> bool:
@@ -474,7 +457,7 @@ def test_four_point_delta_cap():
     # of n vertices, while a path's blocks are single edges
     with pytest.raises(CapExceededError, match="four_point_delta cap:"):
         four_point_delta(apsp(cycle_graph(20)), max_vertices=19)
-    assert four_point_delta(apsp(path_graph(20)), max_vertices=19) == HalfInteger(0)
+    assert four_point_delta(apsp(path_graph(20)), max_vertices=19) == 0
 
 
 def test_graph_from_edges_rejects_bad_input():

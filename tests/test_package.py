@@ -19,7 +19,6 @@ PUBLIC = [
     "Graph",
     "GraphFormatError",
     "GraphValidationError",
-    "HalfInteger",
     "OracleCaps",
     "OracleResult",
     "PackingWitness",
@@ -54,7 +53,7 @@ def test_public_surface_is_pinned():
         assert getattr(kgc, name) is not None
 
 
-SOLVE_OPTIONS = ["tau_hat_doubled", "threads", "delta_max_vertices"]
+SOLVE_OPTIONS = ["tau_hat_doubled", "delta_max_vertices"]
 
 SOLVE_FLAGS = [
     "--delta-cap",
@@ -72,6 +71,19 @@ SOLVE_FLAGS = [
 
 def test_solve_options_are_pinned():
     assert [f.name for f in dataclasses.fields(kgc.SolveOptions)] == SOLVE_OPTIONS
+
+
+# the result types that solve writes field by field are named like its JSON
+BOUND_REPORT = ["tau_hat_doubled", "tau_source", "lower", "upper"]
+PAIRING = ["apex", "gamma_doubled", "pairs"]
+
+
+def test_result_fields_are_named_like_their_json_keys():
+    assert [f.name for f in dataclasses.fields(kgc.BoundReport)] == BOUND_REPORT
+    assert [f.name for f in dataclasses.fields(kgc.Pairing)] == PAIRING
+    data = kgc.solve(kgc.cycle_graph(6), 2).as_dict()
+    assert sorted(data["bounds"]) == sorted(BOUND_REPORT)
+    assert sorted(data["pairing"]) == sorted(PAIRING)
 
 
 def test_solve_flags_are_pinned(capsys):

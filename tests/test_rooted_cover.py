@@ -8,7 +8,6 @@ import pytest
 import kgc.rooted_cover
 
 from kgc import (
-    SolveOptions,
     apsp,
     cycle_graph,
     family_eccentricity,
@@ -23,7 +22,7 @@ from kgc import (
     subdivide,
     verify_packing,
 )
-from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.graph_core import SplitMix64
 from kgc.rooted_cover import best_root, cover_or_packing
 from conftest import (
     min_radius_for_root,
@@ -163,14 +162,14 @@ def test_best_root_prune_and_threads_do_not_change_result():
         for k in (1, 2):
             baseline = reference_best_root(g, D, k, prune=False)
             assert best_root(g, D, k) == baseline
-            assert solve(g, k, SolveOptions(threads=4)).rooted == baseline
+            assert solve(g, k).rooted == baseline
 
 
 def test_dichotomy_random():
     rng = SplitMix64(654)
     for g in small_graph_corpus(12, 11, seed=161):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         diam = int(D.d.max())
         for _ in range(8):
             r = rng.below(g.n)
@@ -183,7 +182,7 @@ def test_dichotomy_random():
                     assert p[0] == r
                     assert is_isometric(D, p)
                 ecc = family_eccentricity(g, out.cover)
-                assert 2 * ecc <= 2 * radius + 2 * tau.doubled
+                assert 2 * ecc <= 2 * radius + 2 * tau
             else:
                 assert len(out.packing) == 2 * k
                 assert verify_packing(g, D, r, radius, out.packing)

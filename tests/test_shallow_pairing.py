@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kgc import (
-    HalfInteger,
     apsp,
     cycle_graph,
     four_point_delta,
@@ -15,7 +14,7 @@ from kgc import (
 )
 import conftest
 import kgc.shallow_pairing
-from kgc.graph_core import SplitMix64, tau_hat_from_delta
+from kgc.graph_core import SplitMix64
 from kgc.rooted_cover import best_root
 from kgc.shallow_pairing import (
     _max_matching,
@@ -61,7 +60,7 @@ def brute_min_gamma(D, pi) -> int:
     for v in range(D.n):
         for pairing in all_pairings(list(range(len(pi)))):
             worst = max(
-                gromov_product(D, pi[i], pi[j], v).doubled for i, j in pairing
+                gromov_product(D, pi[i], pi[j], v) for i, j in pairing
             )
             if best is None or worst < best:
                 best = worst
@@ -77,19 +76,18 @@ def test_fiber_examples():
     g = star_graph(4)
     D = apsp(g)
     pi = (1, 2, 3, 4)
-    zero = HalfInteger(0)
     for x in pi:
-        assert fiber(D, 0, x, pi, zero) == ()
-    assert fiber(D, 1, 2, pi, zero) == (3, 4)
-    assert fiber(D, 1, 2, pi, HalfInteger.from_int(100)) == ()
+        assert fiber(D, 0, x, pi, 0) == ()
+    assert fiber(D, 1, 2, pi, 0) == (3, 4)
+    assert fiber(D, 1, 2, pi, 200) == ()  # tau_hat 100
 
 
 def test_fiber_threshold_complements_pairing_graph():
     # membership in a fiber at tau is exactly non-adjacency at gamma = 2*tau + 1/2
     for g in small_graph_corpus(6, 9, seed=71):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
-        gamma = HalfInteger(2 * tau.doubled + 1)
+        tau = 4 * four_point_delta(D)
+        gamma = 2 * tau + 1
         rng = SplitMix64(11)
         pi = tuple(rng.below(g.n) for _ in range(6))
         for v in range(g.n):
@@ -103,15 +101,15 @@ def test_fiber_threshold_complements_pairing_graph():
                         continue
                     # remove one occurrence bookkeeping: compare by product
                     gp = gromov_product(D, x, y, v)
-                    assert adjacent == (gp.doubled <= gamma.doubled)
-                    assert (gp.doubled >= 2 * tau.doubled + 2) == (not adjacent)
+                    assert adjacent == (gp <= gamma)
+                    assert (gp >= 2 * tau + 2) == (not adjacent)
 
 
 def test_fiber_small_somewhere():
     # some vertex keeps every fiber at half the profile size
     for g in small_graph_corpus(8, 10, seed=72):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         rng = SplitMix64(13)
         for k in (1, 2, 3):
             pi = tuple(rng.below(g.n) for _ in range(2 * k))
@@ -129,14 +127,14 @@ def test_fiber_small_somewhere():
 def test_pairing_graph_star_complete():
     g = star_graph(4)
     D = apsp(g)
-    H = pairing_graph(D, 0, (1, 2, 3, 4), HalfInteger(1))
+    H = pairing_graph(D, 0, (1, 2, 3, 4), 1)
     assert H.sum() == 12  # K4 off-diagonal
 
 
 def test_pairing_graph_repeated_vertices():
     g = path_graph(5)
     D = apsp(g)
-    H = pairing_graph(D, 2, (0, 4, 0, 4), HalfInteger(0))
+    H = pairing_graph(D, 2, (0, 4, 0, 4), 0)
     # (0|4)_2 = 0 but (0|0)_2 = 2 and (4|4)_2 = 2: only cross pairs adjacent
     expected = np.array(
         [
@@ -153,7 +151,7 @@ def test_pairing_graph_all_products_positive_gamma_zero():
     # every product positive at the apex: the position graph is empty
     g = cycle_graph(6)
     D = apsp(g)
-    H = pairing_graph(D, 0, (3, 3, 3, 3), HalfInteger(0))  # (3|3)_0 = 3
+    H = pairing_graph(D, 0, (3, 3, 3, 3), 0)  # (3|3)_0 = 3
     assert not H.any()
 
 
@@ -225,7 +223,7 @@ def test_find_shallow_pairing_star():
     g = star_graph(4)
     D = apsp(g)
     p = min_gamma_pairing(D, (1, 2, 3, 4))
-    assert p.gamma == HalfInteger(0)
+    assert p.gamma_doubled == 0
     assert p.apex == 0
     assert p.pairs == ((1, 2), (3, 4))
 
@@ -234,7 +232,7 @@ def test_find_shallow_pairing_repeated_profile():
     g = path_graph(5)
     D = apsp(g)
     p = min_gamma_pairing(D, (0, 4, 0, 4))
-    assert p.gamma == HalfInteger(0)
+    assert p.gamma_doubled == 0
     assert p.apex == 0  # first id admitting a matching
     assert p.pairs == ((0, 4), (0, 4))
 
@@ -243,7 +241,7 @@ def test_find_shallow_pairing_avoids_duplicate_pair():
     g = star_graph(3)
     D = apsp(g)
     p = min_gamma_pairing(D, (1, 2, 3, 1))
-    assert p.gamma == HalfInteger(0)
+    assert p.gamma_doubled == 0
     # (1|1)_0 = 1 > 0, so the two copies of leaf 1 cannot pair together
     assert p.apex == 0
     assert p.pairs == ((1, 2), (1, 3))
@@ -254,9 +252,9 @@ def test_min_gamma_pairing_matches_exhaustive():
     D = apsp(g)
     pi = (0, 1, 2, 3)
     p = min_gamma_pairing(D, pi)
-    assert p.gamma.doubled == brute_min_gamma(D, pi)
+    assert p.gamma_doubled == brute_min_gamma(D, pi)
     for x, y in p.pairs:
-        assert gromov_product(D, x, y, p.apex).doubled <= p.gamma.doubled
+        assert gromov_product(D, x, y, p.apex) <= p.gamma_doubled
 
 
 def test_min_gamma_pairing_random_matches_exhaustive():
@@ -265,7 +263,7 @@ def test_min_gamma_pairing_random_matches_exhaustive():
         D = apsp(g)
         pi = tuple(rng.below(g.n) for _ in range(4))
         p = min_gamma_pairing(D, pi)
-        assert p.gamma.doubled == brute_min_gamma(D, pi)
+        assert p.gamma_doubled == brute_min_gamma(D, pi)
 
 
 def test_min_gamma_zero_on_trees():
@@ -275,24 +273,24 @@ def test_min_gamma_zero_on_trees():
         D = apsp(g)
         for k in (1, 2, 3):
             pi = tuple(rng.below(g.n) for _ in range(2 * k))
-            assert min_gamma_pairing(D, pi).gamma == HalfInteger(0)
+            assert min_gamma_pairing(D, pi).gamma_doubled == 0
 
 
 def test_pairing_invariants_random():
     rng = SplitMix64(404)
     for g in small_graph_corpus(10, 12, seed=91):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
-        gamma = HalfInteger(2 * tau.doubled + 1)  # 2*tau + 1/2
+        tau = 4 * four_point_delta(D)
+        gamma = 2 * tau + 1  # 2*tau + 1/2
         for k in (1, 2, 3):
             pi = tuple(rng.below(g.n) for _ in range(2 * k))
             p = min_gamma_pairing(D, pi)
             # a pairing exists at this shallowness, and pairing graphs only
             # gain edges as gamma grows, so the least gamma is no larger
-            assert p.gamma.doubled <= gamma.doubled
+            assert p.gamma_doubled <= gamma
             assert sorted(v for pair in p.pairs for v in pair) == sorted(pi)
             for x, y in p.pairs:
-                assert gromov_product(D, x, y, p.apex).doubled <= p.gamma.doubled
+                assert gromov_product(D, x, y, p.apex) <= p.gamma_doubled
 
 
 def test_apex_near_pair_geodesics():
@@ -304,12 +302,12 @@ def test_apex_near_pair_geodesics():
     rng = SplitMix64(77)
     for g in small_graph_corpus(10, 10, seed=101):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         pi = tuple(rng.below(g.n) for _ in range(6))
         p = min_gamma_pairing(D, pi)
         for path in paths_of_pairing(g, D, p):
             reach = min(int(D.d[p.apex, x]) for x in path)
-            assert 2 * reach <= p.gamma.doubled + tau.doubled + 2
+            assert 2 * reach <= p.gamma_doubled + tau + 2
 
 
 def test_apex_on_pair_geodesics_in_trees():
@@ -320,7 +318,7 @@ def test_apex_on_pair_geodesics_in_trees():
         D = apsp(g)
         pi = tuple(rng.below(g.n) for _ in range(6))
         p = min_gamma_pairing(D, pi)
-        assert p.gamma == HalfInteger(0)
+        assert p.gamma_doubled == 0
         for path in paths_of_pairing(g, D, p):
             assert p.apex in path
 
@@ -407,7 +405,7 @@ def test_min_gamma_pairing_matches_reference():
             for pi in _profiles(rng, g.n, k):
                 expected = reference_min_gamma_pairing(D, pi)
                 assert min_gamma_pairing(D, pi) == expected
-                positive += expected.gamma.doubled > 0
+                positive += expected.gamma_doubled > 0
     assert positive >= 20
 
 

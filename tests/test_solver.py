@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from kgc import (
     DELTA_VERTEX_CAP,
-    HalfInteger,
     SolveOptions,
     apsp,
     exact_optimum,
@@ -19,8 +20,7 @@ from kgc import (
     star_graph,
     subdivide,
 )
-from kgc.graph_core import tau_hat_from_delta
-from kgc.solver import build_profile, solve_tree
+from kgc.solver import bound_range, build_profile, solve_tree
 from conftest import small_graph_corpus, tree_corpus
 
 
@@ -79,10 +79,15 @@ def test_solve_rejects_bad_k():
         solve(g, 5)
 
 
-def test_solve_options_reject_threads_below_one():
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            SolveOptions(threads=threads)
+def test_bound_range_matches_exact_rationals():
+    # tau = t/2: lower = ceil(R - tau) clamped at 0, upper = floor(R + 5*tau + 1)
+    for R in range(61):
+        for t in range(201):
+            tau = Fraction(t, 2)
+            expected = (max(0, math.ceil(R - tau)), math.floor(R + 5 * tau + 1))
+            assert bound_range(R, t) == expected
+    # R - tau = -3/2, -1/2 and 1/2: ceiled to -1 (clamped), 0 and 1
+    assert [bound_range(R, 3) for R in (0, 1, 2)] == [(0, 8), (0, 9), (1, 10)]
 
 
 def test_profile_shape():
@@ -113,16 +118,16 @@ def test_guarantee_chain_random():
     # radius <= R_u + 5*tau + 1 whenever the pairing is at most 2*tau + 1/2
     for g in small_graph_corpus(15, 12, seed=181):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         for k in (1, 2):
             res = solve(g, k)
             cover_ecc = family_eccentricity(g, res.rooted.cover)
             # the greedy cover stays within 2*tau of the search radius
-            assert 2 * cover_ecc <= 2 * res.rooted.radius + 2 * tau.doubled
-            if res.pairing.gamma.doubled <= 2 * tau.doubled + 1:
-                assert res.radius <= res.rooted.radius + (5 * tau.doubled) // 2 + 1
+            assert 2 * cover_ecc <= 2 * res.rooted.radius + 2 * tau
+            if res.pairing.gamma_doubled <= 2 * tau + 1:
+                assert res.radius <= res.rooted.radius + (5 * tau) // 2 + 1
                 # pairing recombination loses at most 3*tau + 1 over the cover
-                assert 2 * res.radius <= 2 * cover_ecc + 3 * tau.doubled + 2
+                assert 2 * res.radius <= 2 * cover_ecc + 3 * tau + 2
 
 
 def test_tree_radius_equals_rooted_radius():
@@ -136,7 +141,7 @@ def test_supplied_tau_recorded():
     g = star_graph(4)
     res = solve(g, 1, SolveOptions(tau_hat_doubled=6))
     assert res.bounds.tau_source == "supplied"
-    assert res.bounds.tau_hat == HalfInteger(6)
+    assert res.bounds.tau_hat_doubled == 6
     res = solve(g, 1)
     assert res.bounds.tau_source == "computed"
 
@@ -144,13 +149,13 @@ def test_supplied_tau_recorded():
 def test_optimality_sandwich_small():
     for g in small_graph_corpus(10, 9, seed=211):
         D = apsp(g)
-        tau = tau_hat_from_delta(four_point_delta(D))
+        tau = 4 * four_point_delta(D)
         for k in (1, 2):
             res = solve(g, k)
             opt = exact_optimum(g, D, k).optimum
             assert opt <= res.radius
             assert res.bounds.lower <= opt
-            assert 2 * (res.radius - opt) <= 6 * tau.doubled + 2
+            assert 2 * (res.radius - opt) <= 6 * tau + 2
 
 
 def test_solve_tiny_graphs():
@@ -166,9 +171,7 @@ def test_deterministic_serialization():
     for g in small_graph_corpus(5, 10, seed=221):
         a = json.dumps(solve(g, 2).as_dict(), sort_keys=True)
         b = json.dumps(solve(g, 2).as_dict(), sort_keys=True)
-        c = json.dumps(
-            solve(g, 2, SolveOptions(threads=4)).as_dict(), sort_keys=True
-        )
+        c = json.dumps(solve(g, 2, SolveOptions()).as_dict(), sort_keys=True)
         assert a == b == c
 
 
@@ -178,5 +181,5 @@ def test_large_tree_solves_with_default_options():
     assert g.n > DELTA_VERTEX_CAP
     res = solve(g, 3)
     assert res.bounds.tau_source == "computed"
-    assert res.bounds.tau_hat.doubled == 0
+    assert res.bounds.tau_hat_doubled == 0
     assert res.radius == res.rooted.radius
