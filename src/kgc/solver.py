@@ -48,7 +48,7 @@ class SolveResult:
             "radius": self.radius,
             "paths": [list(p) for p in self.paths],
             "rooted": self.rooted.as_dict(),
-            "pairing": asdict(self.pairing),
+            "pairing": {**asdict(self.pairing), "pairs": [list(p) for p in self.pairing.pairs]},
             "bounds": asdict(self.bounds),
             "exact": self.exact,
         }

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import pytest
@@ -375,6 +376,14 @@ def test_four_point_delta_frozen_values():
     assert four_point_delta(apsp(cycle_graph(8))) == 4
     assert four_point_delta(apsp(grid_graph(3, 3))) == 4
     assert four_point_delta(apsp(cycle_graph(5))) == 1  # 1/2
+
+
+def test_four_point_delta_is_an_int_whose_doubled_is_itself():
+    # callers written for the old boxed half-integer read `.doubled`
+    for g in (path_graph(5), cycle_graph(5), grid_graph(3, 3)):
+        delta = four_point_delta(apsp(g))
+        assert isinstance(delta, int) and delta.doubled == delta
+        assert type(4 * delta) is int and json.dumps(delta) == str(int(delta))
 
 
 def _bridged_c5s() -> Graph:

@@ -6,6 +6,7 @@ or removed only on purpose."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 
 import kgc
@@ -84,6 +85,8 @@ def test_result_fields_are_named_like_their_json_keys():
     data = kgc.solve(kgc.cycle_graph(6), 2).as_dict()
     assert sorted(data["bounds"]) == sorted(BOUND_REPORT)
     assert sorted(data["pairing"]) == sorted(PAIRING)
+    # lists, not tuples, as a JSON round trip gives them back
+    assert data == json.loads(json.dumps(data))
 
 
 def test_solve_flags_are_pinned(capsys):
