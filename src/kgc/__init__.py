@@ -31,7 +31,7 @@ from .graph_core import (
 from .geodesics import VertexPath, family_eccentricity, is_isometric
 from .rooted_cover import PackingWitness, RootedSolution, verify_packing
 from .shallow_pairing import Pairing
-from .solver import BoundReport, SolveOptions, SolveResult, solve
+from .solver import BoundReport, SolveResult, solve
 from .oracle import OracleCaps, OracleResult, exact_optimum
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "verify_packing",
     "Pairing",
     "BoundReport",
-    "SolveOptions",
     "SolveResult",
     "solve",
     "OracleCaps",

@@ -14,7 +14,6 @@ import sys
 
 from .graph_core import (
     CapExceededError,
-    DELTA_VERTEX_CAP,
     Graph,
     GraphFormatError,
     GraphValidationError,
@@ -24,20 +23,19 @@ from .graph_core import (
     load_graph,
     serialize_graph,
     subdivide,
+    _GENERATORS,
 )
 from .geodesics import family_eccentricity, is_isometric
 from .oracle import OracleCaps, exact_optimum
 from .rooted_cover import cover_or_packing, verify_packing
-from .solver import SolveOptions, bound_range, solve
+from .solver import bound_range, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_CAP = 2
 
-_DELTA_CAP_HELP = (
-    "largest biconnected block the four-point scan accepts (vertices); "
-    "a larger block exits 2"
-)
+# short names `kgc gen --type` accepts beside the generator families
+_GEN_ALIASES = {"tree": "random_tree", "random": "random_connected"}
 
 
 def _read_graph(path: str) -> Graph:
@@ -61,8 +59,7 @@ def cmd_solve(args) -> int:
     g = _read_graph(args.graph)
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
-    opts = SolveOptions(tau_hat_doubled=args.tau_hat_doubled, delta_max_vertices=args.delta_cap)
-    result = solve(g, args.k, opts)
+    result = solve(g, args.k, tau_hat_doubled=args.tau_hat_doubled)
     _emit_json(result.as_dict(), args.output)
     return EXIT_OK
 
@@ -77,7 +74,7 @@ def cmd_exact(args) -> int:
 
 def cmd_delta(args) -> int:
     g = _read_graph(args.graph)
-    delta_doubled = four_point_delta(apsp(g), max_vertices=args.cap)
+    delta_doubled = four_point_delta(apsp(g))
     _emit_json({"delta_doubled": delta_doubled}, args.output)
     return EXIT_OK
 
@@ -92,7 +89,7 @@ def cmd_gen(args) -> int:
         "seed": args.seed,
     }
     params = {k: v for k, v in params.items() if v is not None}
-    kind = {"tree": "random_tree", "random": "random_connected"}.get(args.type, args.type)
+    kind = _GEN_ALIASES.get(args.type, args.type)
     g = generate(kind, **params)
     if args.subdivide is not None:
         g = subdivide(g, args.subdivide)
@@ -276,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility, must be >= 1; the root search "
                    "is single-threaded, so this changes neither output nor schedule")
-    p.add_argument("--delta-cap", type=int, default=DELTA_VERTEX_CAP,
-                   help=_DELTA_CAP_HELP)
     add_output(p)
     p.set_defaults(func=cmd_solve)
 
@@ -291,14 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="four-point hyperbolicity (doubled)")
     add_graph(p)
-    p.add_argument("--cap", type=int, default=DELTA_VERTEX_CAP, help=_DELTA_CAP_HELP)
     add_output(p)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("gen", help="write a generated graph as an edge list")
-    p.add_argument("--type", required=True,
-                   choices=["path", "cycle", "star", "grid", "random_tree",
-                            "random_connected", "tree", "random"])
+    p.add_argument("--type", required=True, choices=[*_GENERATORS, *_GEN_ALIASES])
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--w", type=int, default=None)

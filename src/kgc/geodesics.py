@@ -92,29 +92,27 @@ def enumerate_geodesics(
 ) -> list[VertexPath]:
     """All distinct s->t geodesics in lexicographic vertex order.
 
-    Depth-first over the shortest-path DAG; raises CapExceededError as soon
-    as more than ``cap`` paths would be produced.
+    Depth-first over the shortest-path DAG with an explicit stack, so path
+    length is not bounded by the recursion limit; raises CapExceededError
+    as soon as more than ``cap`` paths would be produced.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     d = D.d
     out: list[VertexPath] = []
-    prefix = [s]
-
-    def descend(cur: int) -> None:
-        if cur == t:
+    prefix: list[int] = []
+    stack = [(s, 0)]  # (vertex, its index on the path); smallest id on top
+    while stack:
+        v, depth = stack.pop()
+        del prefix[depth:]
+        prefix.append(v)
+        if v == t:
             if len(out) >= cap:
                 raise CapExceededError(
                     f"more than {cap} geodesics between {s} and {t}"
                 )
             out.append(tuple(prefix))
-            return
-        nxt = d[cur, t] - 1
-        for w in g.adjacency[cur]:
-            if d[w, t] == nxt:
-                prefix.append(w)
-                descend(w)
-                prefix.pop()
-
-    descend(s)
+            continue
+        nxt = d[v, t] - 1
+        stack.extend((w, depth + 1) for w in reversed(g.adjacency[v]) if d[w, t] == nxt)
     return out

@@ -515,7 +515,7 @@ def biconnected_blocks(D: DistanceMatrix) -> list[list[int]]:
     return blocks
 
 
-def four_point_delta(D: DistanceMatrix, *, max_vertices: int = DELTA_VERTEX_CAP) -> int:
+def four_point_delta(D: DistanceMatrix) -> int:
     """Doubled four-point hyperbolicity, as an int: 2*delta, the largest
     gap over every vertex quadruple between the two larger of its three
     pairing distance-sums.
@@ -526,7 +526,7 @@ def four_point_delta(D: DistanceMatrix, *, max_vertices: int = DELTA_VERTEX_CAP)
     its blocks (Cohen, Coudert & Lancin, "On computing the Gromov
     hyperbolicity", ACM JEA 2015).  Blocks of fewer than 4 vertices add 0,
     so trees and other block graphs of small blocks need no scan, and
-    ``max_vertices`` caps the largest block, not n.
+    ``DELTA_VERTEX_CAP`` caps the largest block, not n.
 
     The doubled delta is at most twice the diameter: for any quadruple it
     is at most twice the distance of either half of its largest-sum
@@ -536,10 +536,10 @@ def four_point_delta(D: DistanceMatrix, *, max_vertices: int = DELTA_VERTEX_CAP)
     """
     blocks = biconnected_blocks(D)
     largest = max((len(b) for b in blocks), default=0)
-    if largest > max_vertices:
+    if largest > DELTA_VERTEX_CAP:
         raise CapExceededError(
             f"four_point_delta cap: largest biconnected block has {largest} "
-            f"vertices, exceeds max_vertices={max_vertices}"
+            f"vertices, exceeds DELTA_VERTEX_CAP={DELTA_VERTEX_CAP}"
         )
     best = 0
     for block in blocks:

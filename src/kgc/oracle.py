@@ -55,6 +55,9 @@ class _Budget:
 def _all_geodesics(g: Graph, D: DistanceMatrix, caps: OracleCaps):
     """Every geodesic between every vertex pair (s <= t), deduplicated by
     vertex set; first occurrence in (s, t, lex) order is the canonical rep."""
+    if g.n * (g.n + 1) // 2 > caps.max_paths:
+        # every pair s <= t has at least one geodesic
+        raise CapExceededError(f"more than {caps.max_paths} geodesics")
     total = 0
     seen: set[frozenset[int]] = set()
     canon: list[VertexPath] = []

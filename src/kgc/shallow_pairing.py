@@ -143,14 +143,12 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     """Lexicographically least perfect matching of the position graph, or
     None when no perfect matching exists.
 
-    Existence is decided exactly by blossom matching; the least matching is
-    then extracted by fixing, for the lowest free position, the smallest
-    partner that keeps the rest matchable.
+    The least matching is extracted by fixing, for the lowest free
+    position, the smallest partner that keeps the rest matchable; each
+    test is an exact blossom matching.
     """
     nbrs = _neighbours(H)
     remaining = list(range(len(nbrs)))
-    if not _has_perfect_matching(nbrs, remaining):
-        return None
     pairs: list[tuple[int, int]] = []
     while remaining:
         i = remaining[0]
@@ -162,7 +160,10 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
                     pairs.append((i, j))
                     remaining = rest
                     break
-        else:  # pragma: no cover - excluded by the feasibility invariant
+        else:
+            # no partner keeps the rest matchable; once one position is
+            # fixed every later one has a partner, so this happens only at
+            # the first position, when no perfect matching exists at all
             return None
     return tuple(pairs)
 

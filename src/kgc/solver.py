@@ -12,16 +12,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
-from .graph_core import DELTA_VERTEX_CAP, Graph, apsp, four_point_delta
+from .graph_core import Graph, apsp, four_point_delta
 from .geodesics import VertexPath, family_eccentricity
 from .rooted_cover import RootedSolution, best_root
 from .shallow_pairing import Pairing, min_gamma_pairing, paths_of_pairing
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    tau_hat_doubled: int | None = None  # None: compute 4 * four-point delta
-    delta_max_vertices: int = DELTA_VERTEX_CAP
 
 
 @dataclass(frozen=True)
@@ -73,20 +67,21 @@ def bound_range(rooted_radius: int, tau_doubled: int) -> tuple[int, int]:
     return lower, upper
 
 
-def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
-    """Approximate k-geodesic center of g."""
-    opts = options or SolveOptions()
+def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResult:
+    """Approximate k-geodesic center of g.  ``tau_hat_doubled`` supplies a
+    doubled thinness bound; by default it is computed as four times the
+    doubled four-point delta."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
     D = apsp(g)
-    if opts.tau_hat_doubled is not None:
-        if opts.tau_hat_doubled < 0:
+    if tau_hat_doubled is not None:
+        if tau_hat_doubled < 0:
             raise ValueError("tau_hat_doubled must be >= 0")
-        tau = opts.tau_hat_doubled
+        tau = tau_hat_doubled
         tau_source = "supplied"
     else:
         # thinness is at most four times the four-point delta
-        tau = 4 * four_point_delta(D, max_vertices=opts.delta_max_vertices)
+        tau = 4 * four_point_delta(D)
         tau_source = "computed"
 
     rooted = best_root(g, D, k)
@@ -102,11 +97,11 @@ def solve(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
     )
 
 
-def solve_tree(g: Graph, k: int, options: SolveOptions | None = None) -> SolveResult:
+def solve_tree(g: Graph, k: int) -> SolveResult:
     """Exact k-geodesic center of a tree (same pipeline, zero slack)."""
     if not g.is_tree():
         raise ValueError(f"not a tree: n={g.n}, m={g.m}")
-    result = solve(g, k, options)
+    result = solve(g, k)
     if result.radius != result.rooted.radius:
         raise AssertionError(
             f"tree invariant broken: radius {result.radius} != rooted {result.rooted.radius}"

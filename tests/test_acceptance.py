@@ -21,7 +21,6 @@ import pytest
 
 from kgc import (
     Graph,
-    SolveOptions,
     apsp,
     cycle_graph,
     exact_optimum,
@@ -425,7 +424,7 @@ def test_criterion_8_performance():
     # is supplied (min(w,h)-1 = 24 for the square grid, doubled 48, x4).
     g = grid_graph(25, 25)
     start = time.perf_counter()
-    res = solve(g, 3, SolveOptions(tau_hat_doubled=4 * 48))
+    res = solve(g, 3, tau_hat_doubled=4 * 48)
     grid_elapsed = time.perf_counter() - start
     D = apsp(g)
     assert all(is_isometric(D, p) for p in res.paths)
@@ -436,7 +435,7 @@ def test_criterion_8_performance():
     for n in (100, 200, 400):
         g = _caterpillar(n)
         start = time.perf_counter()
-        solve(g, 2, SolveOptions(tau_hat_doubled=0))  # caterpillars are trees
+        solve(g, 2, tau_hat_doubled=0)  # caterpillars are trees
         times[n] = max(time.perf_counter() - start, 1e-4)
     slope = math.log(times[400] / times[100]) / math.log(4.0)
     scaling_ok = slope < 4.0

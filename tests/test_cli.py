@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 from kgc import (
+    DELTA_VERTEX_CAP,
     apsp,
     cycle_graph,
     load_graph,
@@ -93,10 +94,19 @@ def test_gen_grid_then_delta(tmp_path, capsys):
 
 def test_delta_cap_exit_code(tmp_path, capsys):
     # the cap applies to the largest biconnected block: a cycle is one block
-    gpath = write_graph(tmp_path, cycle_graph(30), "c30.txt")
-    code, _, err = run_cli(capsys, "delta", "-g", gpath, "--cap", "10")
+    gpath = write_graph(tmp_path, cycle_graph(DELTA_VERTEX_CAP + 1), "c513.txt")
+    code, _, err = run_cli(capsys, "delta", "-g", gpath)
     assert code == 2
     assert "cap" in err.lower()
+
+
+def test_exact_long_path_exits_cap(tmp_path, capsys):
+    # 1200 * 1201 / 2 vertex pairs, each with a geodesic, exceed the default
+    # path cap; the oracle says so before enumerating anything
+    gpath = write_graph(tmp_path, path_graph(1200), "p1200.txt")
+    code, out, err = run_cli(capsys, "exact", "-g", gpath, "-k", "1")
+    assert code == 2 and out == ""
+    assert "more than 200000 geodesics" in err
 
 
 def test_exact_star5(tmp_path, capsys):

@@ -160,3 +160,17 @@ def test_enumerate_geodesics_lex_order_and_cap():
     with pytest.raises(CapExceededError):
         enumerate_geodesics(c4, D, 0, 2, cap=1)
     assert enumerate_geodesics(c4, D, 1, 1) == [(1,)]
+
+
+def test_enumerate_geodesics_past_the_recursion_limit():
+    # one stack entry per path vertex, not one interpreter frame
+    g = path_graph(1500)
+    D = apsp(g)
+    assert enumerate_geodesics(g, D, 0, 1499) == [tuple(range(1500))]
+    assert enumerate_geodesics(g, D, 1499, 0) == [tuple(range(1499, -1, -1))]
+    # a 2 x 700 ladder: one geodesic per rung crossed, in lexicographic order
+    g = grid_graph(2, 700)
+    paths = enumerate_geodesics(g, apsp(g), 0, 1399)
+    assert len(set(paths)) == len(paths) == 700
+    assert paths == sorted(paths)
+    assert all(len(p) == 701 for p in paths)

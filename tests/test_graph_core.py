@@ -7,6 +7,7 @@ import pytest
 
 from kgc import (
     CapExceededError,
+    DELTA_VERTEX_CAP,
     Graph,
     GraphFormatError,
     GraphValidationError,
@@ -465,8 +466,8 @@ def test_four_point_delta_cap():
     # the cap applies to the largest biconnected block: a cycle is one block
     # of n vertices, while a path's blocks are single edges
     with pytest.raises(CapExceededError, match="four_point_delta cap:"):
-        four_point_delta(apsp(cycle_graph(20)), max_vertices=19)
-    assert four_point_delta(apsp(path_graph(20)), max_vertices=19) == 0
+        four_point_delta(apsp(cycle_graph(DELTA_VERTEX_CAP + 1)))
+    assert four_point_delta(apsp(path_graph(DELTA_VERTEX_CAP + 1))) == 0
 
 
 def test_graph_from_edges_rejects_bad_input():

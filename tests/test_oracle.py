@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import kgc.oracle
 from kgc import (
     CapExceededError,
     OracleCaps,
@@ -98,6 +99,20 @@ def test_exact_optimum_caps():
         exact_optimum(g, D, 2, OracleCaps(max_paths=10))
     with pytest.raises(CapExceededError):
         exact_optimum(g, D, 2, OracleCaps(max_combinations=1))
+
+
+def test_exact_optimum_cap_below_pair_count_raises_before_enumerating(monkeypatch):
+    # every pair s <= t of a path has exactly one geodesic: 15 on 5 vertices
+    g = path_graph(5)
+    D = apsp(g)
+    assert exact_optimum(g, D, 1, OracleCaps(max_paths=15)).optimum == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated although the pairs exceed the cap")
+
+    monkeypatch.setattr(kgc.oracle, "enumerate_geodesics", refuse)
+    with pytest.raises(CapExceededError, match="more than 14 geodesics"):
+        exact_optimum(g, D, 1, OracleCaps(max_paths=14))
 
 
 def test_exact_optimum_deterministic():

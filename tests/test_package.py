@@ -1,11 +1,12 @@
 """The package namespace holds what the README and the command line use;
-every other name is imported from its module.  The solver's options and
-the flags of ``kgc solve`` are pinned the same way, so an option is added
-or removed only on purpose."""
+every other name is imported from its module.  The keyword parameters of
+``solve`` and the flags of ``kgc solve`` and ``kgc delta`` are pinned the
+same way, so an option is added or removed only on purpose."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import re
 
@@ -25,7 +26,6 @@ PUBLIC = [
     "PackingWitness",
     "Pairing",
     "RootedSolution",
-    "SolveOptions",
     "SolveResult",
     "VertexPath",
     "apsp",
@@ -54,10 +54,9 @@ def test_public_surface_is_pinned():
         assert getattr(kgc, name) is not None
 
 
-SOLVE_OPTIONS = ["tau_hat_doubled", "delta_max_vertices"]
+SOLVE_KEYWORDS = ["tau_hat_doubled"]
 
 SOLVE_FLAGS = [
-    "--delta-cap",
     "--graph",
     "--help",
     "--output",
@@ -70,8 +69,12 @@ SOLVE_FLAGS = [
 ]
 
 
-def test_solve_options_are_pinned():
-    assert [f.name for f in dataclasses.fields(kgc.SolveOptions)] == SOLVE_OPTIONS
+DELTA_FLAGS = ["--graph", "--help", "--output", "-g", "-h", "-o"]
+
+
+def test_solve_keywords_are_pinned():
+    params = inspect.signature(kgc.solve).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == SOLVE_KEYWORDS
 
 
 # the result types that solve writes field by field are named like its JSON
@@ -89,7 +92,15 @@ def test_result_fields_are_named_like_their_json_keys():
     assert data == json.loads(json.dumps(data))
 
 
-def test_solve_flags_are_pinned(capsys):
-    assert main(["solve", "--help"]) == 0
+def _flags(capsys, command: str) -> list[str]:
+    assert main([command, "--help"]) == 0
     text = capsys.readouterr().out
-    assert sorted(set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text))) == SOLVE_FLAGS
+    return sorted(set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)))
+
+
+def test_solve_flags_are_pinned(capsys):
+    assert _flags(capsys, "solve") == SOLVE_FLAGS
+
+
+def test_delta_flags_are_pinned(capsys):
+    assert _flags(capsys, "delta") == DELTA_FLAGS

@@ -8,7 +8,6 @@ import pytest
 
 from kgc import (
     DELTA_VERTEX_CAP,
-    SolveOptions,
     apsp,
     exact_optimum,
     family_eccentricity,
@@ -139,7 +138,7 @@ def test_tree_radius_equals_rooted_radius():
 
 def test_supplied_tau_recorded():
     g = star_graph(4)
-    res = solve(g, 1, SolveOptions(tau_hat_doubled=6))
+    res = solve(g, 1, tau_hat_doubled=6)
     assert res.bounds.tau_source == "supplied"
     assert res.bounds.tau_hat_doubled == 6
     res = solve(g, 1)
