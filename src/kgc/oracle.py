@@ -21,6 +21,10 @@ class OracleCaps:
     max_paths: int = 200_000
     max_combinations: int = 100_000_000
 
+    def __post_init__(self):
+        if min(self.max_paths, self.max_combinations) < 1:
+            raise ValueError(f"caps must be >= 1, got {self}")
+
 
 @dataclass(frozen=True)
 class OracleResult:

@@ -146,10 +146,15 @@ class _Greedy:
         """Rows of the vertices that survive the picks ``v`` at radius > 0:
         row i kills every vertex whose ball meets a vertex a aligned,
         through row i's root (distance row ``dr[i]``), with some b in v[i]'s
-        ball: d(a,b) = |d(r,a) - d(r,b)|."""
+        ball B: d(a,b) = |d(r,a) - d(r,b)|.  That set is B plus the vertices
+        aligned with the sphere S = {c : d(v,c) = radius}, so only S gets
+        alignment rows: the geodesic from b to an aligned a outside B lies
+        on one geodesic from r, and its last vertex c in B, whose next
+        vertex is outside B, has d(v,c) = radius and is aligned with a."""
         d, n = self.d, self.n
-        rows, members = (d[v] <= radius).nonzero()
         near = np.zeros((v.size, self.pad), dtype=bool)
+        near[:, :n] = d[v] <= radius
+        rows, members = (d[v] == radius).nonzero()
         for part in _slices(rows.size, self.pad):
             at, b = rows[part], members[part]
             gap = dr[at]
@@ -245,6 +250,7 @@ def verify_packing(
     One check per member x, not per pair: some r-path comes within
     ``radius`` of x and of a later member y exactly when y's ball meets the
     vertices aligned with x's ball (the reduction in ``geodesics``).
+    It aligns the whole ball, so it does not rest on the greedy's sphere rows.
     """
     d = D.d
     dr = d[r]

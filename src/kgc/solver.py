@@ -10,7 +10,7 @@ is exact.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .graph_core import Graph, apsp, four_point_delta
 from .geodesics import VertexPath, family_eccentricity
@@ -96,14 +96,3 @@ def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResul
         k=k, paths=paths, radius=radius, rooted=rooted, pairing=pairing, bounds=bounds
     )
 
-
-def solve_tree(g: Graph, k: int) -> SolveResult:
-    """Exact k-geodesic center of a tree (same pipeline, zero slack)."""
-    if not g.is_tree():
-        raise ValueError(f"not a tree: n={g.n}, m={g.m}")
-    result = solve(g, k)
-    if result.radius != result.rooted.radius:
-        raise AssertionError(
-            f"tree invariant broken: radius {result.radius} != rooted {result.rooted.radius}"
-        )
-    return replace(result, exact=True)

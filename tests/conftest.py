@@ -4,6 +4,7 @@ lemma-level helpers the property tests check the paper's statements with."""
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -15,17 +16,26 @@ from kgc import (
     PackingWitness,
     Pairing,
     RootedSolution,
+    SolveResult,
     apsp,
     exact_optimum,
     family_eccentricity,
     four_point_delta,
     random_connected,
     random_tree,
+    solve,
     subdivide,
 )
 from kgc.geodesics import VertexPath, shortest_path
 from kgc.graph_core import SplitMix64
-from kgc.rooted_cover import RootedOutcome, _Greedy, _search_root, cover_or_packing
+from kgc.rooted_cover import (
+    RootedOutcome,
+    _Greedy,
+    _or_into,
+    _search_root,
+    _slices,
+    cover_or_packing,
+)
 
 
 def small_graph_corpus(count: int, max_n: int, seed: int, max_m: int | None = None):
@@ -118,6 +128,30 @@ def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
     if len(picks) == 2 * k:
         return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
     return RootedOutcome(cover=tuple(sigmas), packing=None)
+
+
+def reference_survivors(greedy: _Greedy, dr: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
+    """``_Greedy._survivors`` with an alignment row for every member of
+    each pick's ball, not only its sphere: row i kills every vertex whose
+    ball meets a vertex aligned, through row i's root, with some b in
+    v[i]'s ball."""
+    d, n = greedy.d, greedy.n
+    rows, members = (d[v] <= radius).nonzero()
+    near = np.zeros((v.size, greedy.pad), dtype=bool)
+    for part in _slices(rows.size, greedy.pad):
+        at, b = rows[part], members[part]
+        gap = dr[at]
+        gap -= dr[at, b][:, None]
+        np.abs(gap, out=gap)
+        aligned = np.zeros((at.size, greedy.pad), dtype=bool)
+        np.equal(gap, d[b], out=aligned[:, :n])
+        _or_into(near, at, aligned)
+    bits = greedy.ball_bits(radius)
+    rows, members = near.nonzero()
+    killed = np.zeros((v.size, bits.shape[1]), dtype=np.uint8)
+    for part in _slices(rows.size, bits.shape[1]):
+        _or_into(killed, rows[part], bits[members[part]])
+    return np.unpackbits(~killed, axis=1, count=n).view(bool)
 
 
 def reference_search_root(g, D, r, k, stop_at=None, first_probe=None):
@@ -327,6 +361,18 @@ def min_radius_for_root(g: Graph, D: DistanceMatrix, r: int, k: int):
     greedy = _Greedy(D)
     cover = cover_or_packing(g, D, r, g.n, k, greedy=greedy).cover  # radius n covers
     return _search_root(greedy, g, D, r, k, g.n, cover)
+
+
+def solve_tree(g: Graph, k: int) -> SolveResult:
+    """Exact k-geodesic center of a tree (same pipeline, zero slack)."""
+    if not g.is_tree():
+        raise ValueError(f"not a tree: n={g.n}, m={g.m}")
+    result = solve(g, k)
+    if result.radius != result.rooted.radius:
+        raise AssertionError(
+            f"tree invariant broken: radius {result.radius} != rooted {result.rooted.radius}"
+        )
+    return replace(result, exact=True)
 
 
 def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCaps | None = None) -> dict:

@@ -40,7 +40,6 @@ from kgc.geodesics import enumerate_geodesics
 from kgc.graph_core import SplitMix64
 from kgc.rooted_cover import cover_or_packing
 from kgc.shallow_pairing import min_gamma_pairing
-from kgc.solver import solve_tree
 from conftest import (
     check_subdivision_lemma,
     covering_reach,
@@ -48,6 +47,7 @@ from conftest import (
     graph_key,
     gromov_product,
     pairing_distance,
+    solve_tree,
     total_distance,
 )
 

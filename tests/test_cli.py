@@ -109,6 +109,16 @@ def test_exact_long_path_exits_cap(tmp_path, capsys):
     assert "more than 200000 geodesics" in err
 
 
+def test_exact_rejects_caps_below_one(tmp_path, capsys):
+    # a cap below 1 is invalid input (exit 1), not an exceeded cap (exit 2)
+    gpath = write_graph(tmp_path, path_graph(3), "p3.txt")
+    for flag, value in (("--max-paths", "-5"), ("--max-paths", "0"),
+                        ("--max-combinations", "0"), ("--max-combinations", "-1")):
+        code, out, err = run_cli(capsys, "exact", "-g", gpath, "-k", "1", flag, value)
+        assert code == 1 and out == ""
+        assert "caps must be >= 1" in err
+
+
 def test_exact_star5(tmp_path, capsys):
     gpath = write_graph(tmp_path, star_graph(5), "star5.txt")
     code, out, _ = run_cli(capsys, "exact", "-g", gpath, "-k", "2")

@@ -101,6 +101,15 @@ def test_exact_optimum_caps():
         exact_optimum(g, D, 2, OracleCaps(max_combinations=1))
 
 
+def test_oracle_caps_reject_values_below_one():
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"caps must be >= 1, got .*max_paths={bad},"):
+            OracleCaps(max_paths=bad)
+        with pytest.raises(ValueError, match=f"caps must be >= 1, got .*max_combinations={bad}\\)"):
+            OracleCaps(max_combinations=bad)
+    assert OracleCaps(max_paths=1, max_combinations=1).max_combinations == 1
+
+
 def test_exact_optimum_cap_below_pair_count_raises_before_enumerating(monkeypatch):
     # every pair s <= t of a path has exactly one geodesic: 15 on 5 vertices
     g = path_graph(5)

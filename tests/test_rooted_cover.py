@@ -8,6 +8,7 @@ import pytest
 import kgc.rooted_cover
 
 from kgc import (
+    Graph,
     apsp,
     cycle_graph,
     family_eccentricity,
@@ -28,6 +29,7 @@ from conftest import (
     min_radius_for_root,
     reference_best_root,
     reference_cover_or_packing,
+    reference_survivors,
     reference_verify_packing,
     scan_root,
     small_graph_corpus,
@@ -223,14 +225,29 @@ def test_cover_or_packing_rejects_bad_k():
         best_root(g, D, 5)
 
 
+def _two_cycles_with_pendant_trees():
+    """C5 and C6 joined by a path, with pendant trees on both cycles and
+    on the path: two cycle blocks and eight bridges."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]  # C5 on 0..4
+    edges += [(4, 5), (5, 6)]  # the joining path
+    edges += [(6 + i, 6 + (i + 1) % 6) for i in range(6)]  # C6 on 6..11
+    edges += [(0, 12), (12, 13), (12, 14), (8, 15), (15, 16), (5, 17)]
+    return Graph.from_edges(18, edges)
+
+
 def _differential_corpus():
     return [
         *tree_corpus(6, 8, 30, seed=171),
         *small_graph_corpus(8, 18, seed=172, max_m=26),
         grid_graph(4, 4),
         grid_graph(5, 2),
+        grid_graph(6, 6),
         cycle_graph(7),
         cycle_graph(10),
+        random_connected(6, 15, 173),  # K_6
+        random_connected(14, 60, 174),
+        random_connected(14, 60, 175),
+        _two_cycles_with_pendant_trees(),
     ]
 
 
@@ -256,6 +273,20 @@ def test_best_root_matches_reference_kernel():
             found = best_root(g, D, k)
             for prune in (True, False):
                 assert found == reference_best_root(g, D, k, prune=prune)
+
+
+def test_survivors_match_full_ball_reference():
+    # alignment rows from the sphere d(v, c) = R only, seeded with the ball,
+    # against a row for every ball member: every root with every pick v, at
+    # every radius 1..diam and at diam + 1 > ecc(v), where the sphere is empty
+    for g in _differential_corpus():
+        D = apsp(g)
+        greedy = kgc.rooted_cover._Greedy(D)
+        dr = greedy.d[np.repeat(np.arange(g.n), g.n)]
+        v = np.tile(np.arange(g.n), g.n)
+        for radius in range(1, int(D.d.max()) + 2):
+            expected = reference_survivors(greedy, dr, v, radius)
+            assert (greedy._survivors(dr, v, radius) == expected).all()
 
 
 def _lockstep_outcomes(g, D, radius, k):

@@ -19,8 +19,8 @@ from kgc import (
     star_graph,
     subdivide,
 )
-from kgc.solver import bound_range, build_profile, solve_tree
-from conftest import small_graph_corpus, tree_corpus
+from kgc.solver import bound_range, build_profile
+from conftest import small_graph_corpus, solve_tree, tree_corpus
 
 
 def test_solve_path_k1():
