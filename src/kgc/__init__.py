@@ -11,7 +11,6 @@ pipeline's stages live in their modules (``rooted_cover``,
 from .graph_core import (
     CapExceededError,
     DELTA_VERTEX_CAP,
-    DistanceMatrix,
     Graph,
     GraphFormatError,
     GraphValidationError,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceededError",
     "DELTA_VERTEX_CAP",
-    "DistanceMatrix",
     "Graph",
     "GraphFormatError",
     "GraphValidationError",

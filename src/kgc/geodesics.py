@@ -25,39 +25,39 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graph_core import CapExceededError, DistanceMatrix, Graph
+import numpy as np
+
+from .graph_core import CapExceededError, Graph
 
 # A path is a tuple of pairwise-adjacent vertex ids; single vertices are
 # valid length-0 paths.
 VertexPath = tuple[int, ...]
 
 
-def shortest_path(g: Graph, D: DistanceMatrix, u: int, v: int) -> VertexPath:
+def shortest_path(g: Graph, D: np.ndarray, u: int, v: int) -> VertexPath:
     """The canonical u->v geodesic: always step to the smallest-id neighbor
     that gets one hop closer to v."""
-    d = D.d
     path = [u]
     cur = u
     while cur != v:
-        target = d[cur, v] - 1
+        target = D[cur, v] - 1
         for w in g.adjacency[cur]:  # ascending, so first hit is smallest id
-            if d[w, v] == target:
+            if D[w, v] == target:
                 path.append(w)
                 cur = w
                 break
     return tuple(path)
 
 
-def is_isometric(D: DistanceMatrix, path: Sequence[int]) -> bool:
+def is_isometric(D: np.ndarray, path: Sequence[int]) -> bool:
     """True iff consecutive vertices are adjacent and the endpoint distance
     equals the edge count (which forces all intermediate distances too)."""
     if len(path) == 0:
         return False
-    d = D.d
     for a, b in zip(path, path[1:]):
-        if d[a, b] != 1:
+        if D[a, b] != 1:
             return False
-    return int(d[path[0], path[-1]]) == len(path) - 1
+    return int(D[path[0], path[-1]]) == len(path) - 1
 
 
 def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:
@@ -88,7 +88,7 @@ def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:
 
 
 def enumerate_geodesics(
-    g: Graph, D: DistanceMatrix, s: int, t: int, cap: int = 1_000_000
+    g: Graph, D: np.ndarray, s: int, t: int, cap: int = 1_000_000
 ) -> list[VertexPath]:
     """All distinct s->t geodesics in lexicographic vertex order.
 
@@ -98,7 +98,6 @@ def enumerate_geodesics(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    d = D.d
     out: list[VertexPath] = []
     prefix: list[int] = []
     stack = [(s, 0)]  # (vertex, its index on the path); smallest id on top
@@ -113,6 +112,6 @@ def enumerate_geodesics(
                 )
             out.append(tuple(prefix))
             continue
-        nxt = d[v, t] - 1
-        stack.extend((w, depth + 1) for w in reversed(g.adjacency[v]) if d[w, t] == nxt)
+        nxt = D[v, t] - 1
+        stack.extend((w, depth + 1) for w in reversed(g.adjacency[v]) if D[w, t] == nxt)
     return out

@@ -106,6 +106,12 @@ class Graph:
         return self.m == self.n - 1
 
 
+def check_k(g: Graph, k: int) -> None:
+    """The range of k that every solver entry point accepts: 1 <= k <= n."""
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+
+
 def load_graph(source: str | bytes | IO) -> Graph:
     """Parse a graph from edge-list text.
 
@@ -321,20 +327,10 @@ def subdivide(g: Graph, length: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs hop distances as a read-only int32 array."""
-
-    n: int
-    d: np.ndarray
-
-    def dist(self, u: int, v: int) -> int:
-        return int(self.d[u, v])
-
-
-def apsp(g: Graph) -> DistanceMatrix:
-    """Exact hop distances: a breadth-first search of the 2-core only, and
-    a row recurrence across bridges for the trees that hang from it.
+def apsp(g: Graph) -> np.ndarray:
+    """Exact hop distances as a read-only n x n int32 array: a
+    breadth-first search of the 2-core only, and a row recurrence across
+    bridges for the trees that hang from it.
 
     Vertices of degree 1 are peeled until none is left, or on a tree until
     one vertex is left; each peeled vertex hangs from the one neighbour
@@ -380,7 +376,7 @@ def apsp(g: Graph) -> DistanceMatrix:
     )
     if len(core) == n:
         core_d.setflags(write=False)
-        return DistanceMatrix(n=n, d=core_d)
+        return core_d
 
     order: list[int] = []  # preorder of the pendant trees
     todo = [v for a in core for v in children[a]]
@@ -409,7 +405,7 @@ def apsp(g: Graph) -> DistanceMatrix:
         np.add(d[parent[v]], 1, out=row)
         row[order_col[start : start + size[v]]] -= 2
     d.setflags(write=False)
-    return DistanceMatrix(n=n, d=d)
+    return d
 
 
 def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -471,7 +467,7 @@ def _frontier_slices(frontier: np.ndarray, n: int, deg: np.ndarray):
                 yield part[a:b]
 
 
-def biconnected_blocks(D: DistanceMatrix) -> list[list[int]]:
+def biconnected_blocks(D: np.ndarray) -> list[list[int]]:
     """Vertex sets of the biconnected blocks of the graph behind ``D``, each
     sorted ascending.  A bridge is a block of two vertices; a single vertex
     has no blocks.
@@ -479,8 +475,8 @@ def biconnected_blocks(D: DistanceMatrix) -> list[list[int]]:
     Iterative Tarjan: the explicit stack keeps long paths from overflowing
     the recursion limit.  Edges are the entries of ``D`` equal to 1.
     """
-    n = D.n
-    adj = [np.flatnonzero(row == 1).tolist() for row in D.d]
+    n = len(D)
+    adj = [np.flatnonzero(row == 1).tolist() for row in D]
     disc = [-1] * n
     low = [0] * n
     blocks: list[list[int]] = []
@@ -515,7 +511,7 @@ def biconnected_blocks(D: DistanceMatrix) -> list[list[int]]:
     return blocks
 
 
-def four_point_delta(D: DistanceMatrix) -> int:
+def four_point_delta(D: np.ndarray) -> int:
     """Doubled four-point hyperbolicity, as an int: 2*delta, the largest
     gap over every vertex quadruple between the two larger of its three
     pairing distance-sums.
@@ -544,7 +540,7 @@ def four_point_delta(D: DistanceMatrix) -> int:
     best = 0
     for block in blocks:
         if len(block) >= 4:
-            best = max(best, _pair_scan_delta_doubled(D.d[np.ix_(block, block)]))
+            best = max(best, _pair_scan_delta_doubled(D[np.ix_(block, block)]))
     return _DoubledInt(best)
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import CapExceededError, DistanceMatrix, Graph
+import numpy as np
+
+from .graph_core import CapExceededError, Graph, check_k
 from .geodesics import VertexPath, enumerate_geodesics
 
 
@@ -56,7 +58,7 @@ class _Budget:
             )
 
 
-def _all_geodesics(g: Graph, D: DistanceMatrix, caps: OracleCaps):
+def _all_geodesics(g: Graph, D: np.ndarray, caps: OracleCaps):
     """Every geodesic between every vertex pair (s <= t), deduplicated by
     vertex set; first occurrence in (s, t, lex) order is the canonical rep."""
     if g.n * (g.n + 1) // 2 > caps.max_paths:
@@ -173,7 +175,7 @@ def _lex_witness(masks: list[int], k: int, full: int, budget: _Budget):
 
 
 def exact_optimum(
-    g: Graph, D: DistanceMatrix, k: int, caps: OracleCaps | None = None
+    g: Graph, D: np.ndarray, k: int, caps: OracleCaps | None = None
 ) -> OracleResult:
     """Least radius at which k geodesics cover the graph, with a witness.
 
@@ -181,18 +183,16 @@ def exact_optimum(
     every smaller radius.
     """
     caps = caps or OracleCaps()
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    check_k(g, k)
     paths, enumerated = _all_geodesics(g, D, caps)
     budget = _Budget(caps.max_combinations)
     full = (1 << g.n) - 1
-    d = D.d
     for radius in range(g.n):
         ball_bits = []
         for v in range(g.n):
             row = 0
             for u in range(g.n):
-                if d[v, u] <= radius:
+                if D[v, u] <= radius:
                     row |= 1 << u
             ball_bits.append(row)
         first_path: dict[int, VertexPath] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import DistanceMatrix, Graph
+from .graph_core import Graph, check_k
 from .geodesics import VertexPath, shortest_path
 
 
@@ -119,10 +119,10 @@ class _Greedy:
     they fit, which halves the memory traffic of the kill rows.
     """
 
-    def __init__(self, D: DistanceMatrix):
-        self.d = D.d.astype(np.int16) if D.n < 2**15 else D.d
-        self.n = D.n
-        self.pad = (D.n + 63) // 64 * 64  # row width of bool and bit rows
+    def __init__(self, D: np.ndarray):
+        self.n = len(D)
+        self.d = D.astype(np.int16) if self.n < 2**15 else D
+        self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._bits: dict[int, np.ndarray] = {}
 
     def max_roots(self) -> int:
@@ -214,37 +214,29 @@ class _Greedy:
         return covered, [tuple(p[:size].tolist()) for p, size in zip(picks, length)]
 
 
-def _outcome(g: Graph, D: DistanceMatrix, r: int, covered: bool, picks) -> RootedOutcome:
+def _outcome(g: Graph, D: np.ndarray, r: int, covered: bool, picks) -> RootedOutcome:
     """The canonical geodesics r -> pick of a cover, or the sorted packing."""
     if covered:
         return RootedOutcome(cover=tuple(shortest_path(g, D, r, v) for v in picks), packing=None)
     return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
 
 
-def cover_or_packing(
-    g: Graph, D: DistanceMatrix, r: int, radius: int, k: int, *, greedy: _Greedy | None = None
-) -> RootedOutcome:
+def cover_or_packing(g: Graph, D: np.ndarray, r: int, radius: int, k: int) -> RootedOutcome:
     """One greedy run at (root, radius): a rooted cover of at most 2k-1
     geodesics, or a packing of exactly 2k vertices.
 
     Farthest-first picks, ties to the smallest id; the one-root call of the
-    lockstep kernel ``_Greedy``, whose packed ball rows a caller probing
-    many radii shares through ``greedy``.  The canonical geodesics are
-    built only when the greedy exits with a cover.
+    lockstep kernel ``_Greedy``.  The canonical geodesics are built only
+    when the greedy exits with a cover.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    check_k(g, k)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if greedy is None:
-        greedy = _Greedy(D)
-    covered, picks = greedy.run([r], radius, k)
+    covered, picks = _Greedy(D).run([r], radius, k)
     return _outcome(g, D, r, bool(covered[0]), picks[0])
 
 
-def verify_packing(
-    g: Graph, D: DistanceMatrix, r: int, radius: int, vertices
-) -> bool:
+def verify_packing(g: Graph, D: np.ndarray, r: int, radius: int, vertices) -> bool:
     """True iff no single r-path's radius-ball reaches two of the vertices.
 
     One check per member x, not per pair: some r-path comes within
@@ -252,47 +244,49 @@ def verify_packing(
     vertices aligned with x's ball (the reduction in ``geodesics``).
     It aligns the whole ball, so it does not rest on the greedy's sphere rows.
     """
-    d = D.d
-    dr = d[r]
+    dr = D[r]
     members = sorted(set(vertices))
     for i, x in enumerate(members[:-1]):
-        near = _aligned_with_ball(d, dr, x, radius)
-        if (d[members[i + 1 :]][:, near] <= radius).any():
+        near = _aligned_with_ball(D, dr, x, radius)
+        if (D[members[i + 1 :]][:, near] <= radius).any():
             return False
     return True
 
 
-def _search_root(
-    greedy: _Greedy,
-    g: Graph,
-    D: DistanceMatrix,
-    r: int,
-    k: int,
-    hi: int,
-    cover: tuple[VertexPath, ...],
-):
+def _search_root(greedy: _Greedy, r: int, k: int, hi: int, picks: tuple[int, ...]):
     """Binary search for the least radius at which the greedy covers from r,
-    starting from the cover ``cover`` the caller has seen at radius ``hi``.
+    starting from the cover picks ``picks`` the caller has seen at radius
+    ``hi``.
 
     Bracket invariant: packing observed at lo (lo = -1 counts vacuously),
-    cover observed at hi.  Returns (radius, cover, witness).
+    cover observed at hi.  Returns (radius, cover picks, packing picks at
+    radius - 1, None at radius 0).
     """
     lo = -1
-    packing_at_lo: tuple[int, ...] | None = None
+    packing: tuple[int, ...] | None = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        out = cover_or_packing(g, D, r, mid, k, greedy=greedy)
-        if out.is_cover:
-            hi, cover = mid, out.cover
+        covered, found = greedy.run([r], mid, k)
+        if covered[0]:
+            hi, picks = mid, found[0]
         else:
-            lo, packing_at_lo = mid, out.packing
+            lo, packing = mid, found[0]
+    return hi, picks, packing
+
+
+def _rooted_solution(
+    g: Graph, D: np.ndarray, root: int, radius: int, picks, packing
+) -> RootedSolution:
+    """The canonical geodesics root -> pick of a cover at ``radius``, with
+    the sorted packing found one below it as the witness."""
     witness = None
-    if hi > 0:
-        witness = PackingWitness(radius=hi - 1, vertices=packing_at_lo)
-    return hi, cover, witness
+    if packing is not None:
+        witness = PackingWitness(radius=radius - 1, vertices=tuple(sorted(packing)))
+    cover = tuple(shortest_path(g, D, root, v) for v in picks)
+    return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
 
 
-def best_root(g: Graph, D: DistanceMatrix, k: int) -> RootedSolution:
+def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
 
     Roots are probed once at one below the incumbent radius: a packing
@@ -304,16 +298,15 @@ def best_root(g: Graph, D: DistanceMatrix, k: int) -> RootedSolution:
     binary search from that cover and becomes the incumbent; the roots
     after it are probed again at the new radius, and the chunk size
     resets.  This is the result and the probe order of a one-root-at-a-time
-    search.
+    search.  Geodesics and the packing witness are built once, for the
+    winning root.
 
     Beyond ``D`` the search holds an int16 copy of it, the packed ball rows
     of the radii it probes (n*n/8 bytes each) and temporaries under the
     cell budget.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    check_k(g, k)
     greedy = _Greedy(D)
-    best: RootedSolution | None = None
     incumbent = g.n + 1
     r, size = 0, min(_FIRST_CHUNK, greedy.max_roots())
     while r < g.n and incumbent > 0:
@@ -324,8 +317,6 @@ def best_root(g: Graph, D: DistanceMatrix, k: int) -> RootedSolution:
             r, size = r + roots.size, min(2 * size, greedy.max_roots())
             continue
         root = r + int(hits[0])
-        first = _outcome(g, D, root, True, picks[hits[0]]).cover
-        incumbent, cover, witness = _search_root(greedy, g, D, root, k, incumbent - 1, first)
-        best = RootedSolution(root=root, radius=incumbent, cover=cover, packing_witness=witness)
+        incumbent, cover, packing = _search_root(greedy, root, k, incumbent - 1, picks[hits[0]])
         r, size = root + 1, min(_FIRST_CHUNK, greedy.max_roots())
-    return best
+    return _rooted_solution(g, D, root, incumbent, cover, packing)

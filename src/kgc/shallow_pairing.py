@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import DistanceMatrix, Graph
+from .graph_core import Graph
 from .geodesics import VertexPath, shortest_path
 
 Profile = Sequence[int]
@@ -180,14 +180,14 @@ def _pairing_from_positions(
 _NO_PAIR = np.iinfo(np.int32).max
 
 
-def _apex_products(D: DistanceMatrix, pi: Profile) -> tuple[np.ndarray, np.ndarray]:
+def _apex_products(D: np.ndarray, pi: Profile) -> tuple[np.ndarray, np.ndarray]:
     """The doubled Gromov products (pi[i]|pi[j])_v as an int32 (i, j, v)
     tensor with the diagonal excluded, and per apex v the least doubled
     gamma at which no position of the pairing graph is isolated."""
     _check_profile(pi)
     members = np.asarray(pi, dtype=np.int64)
-    dv = D.d[members, :]  # 2k x n
-    cross = D.d[np.ix_(members, members)]
+    dv = D[members, :]  # 2k x n
+    cross = D[np.ix_(members, members)]
     prod = dv[:, None, :] + dv[None, :, :] - cross[:, :, None]
     positions = np.arange(len(members))
     prod[positions, positions, :] = _NO_PAIR
@@ -208,7 +208,7 @@ def _first_apex_pairing(
     return None
 
 
-def min_gamma_pairing(D: DistanceMatrix, pi: Profile) -> Pairing:
+def min_gamma_pairing(D: np.ndarray, pi: Profile) -> Pairing:
     """Shallowest pairing: the least gamma (over ascending half-integers)
     admitting an apex and a perfect matching.
 
@@ -226,7 +226,7 @@ def min_gamma_pairing(D: DistanceMatrix, pi: Profile) -> Pairing:
     raise AssertionError("unreachable: complete pairing graph at max product")
 
 
-def paths_of_pairing(g: Graph, D: DistanceMatrix, pairing: Pairing) -> tuple[VertexPath, ...]:
+def paths_of_pairing(g: Graph, D: np.ndarray, pairing: Pairing) -> tuple[VertexPath, ...]:
     """One canonical geodesic per pair, aligned with ``pairing.pairs``;
     a pair {u,u} yields the single-vertex path (u,)."""
     return tuple(shortest_path(g, D, x, y) for x, y in pairing.pairs)

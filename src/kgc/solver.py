@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .graph_core import Graph, apsp, four_point_delta
+from .graph_core import Graph, apsp, check_k, four_point_delta
 from .geodesics import VertexPath, family_eccentricity
 from .rooted_cover import RootedSolution, best_root
 from .shallow_pairing import Pairing, min_gamma_pairing, paths_of_pairing
@@ -71,8 +71,7 @@ def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResul
     """Approximate k-geodesic center of g.  ``tau_hat_doubled`` supplies a
     doubled thinness bound; by default it is computed as four times the
     doubled four-point delta."""
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
+    check_k(g, k)
     D = apsp(g)
     if tau_hat_doubled is not None:
         if tau_hat_doubled < 0:

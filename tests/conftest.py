@@ -10,7 +10,6 @@ from itertools import combinations
 import numpy as np
 
 from kgc import (
-    DistanceMatrix,
     Graph,
     OracleCaps,
     PackingWitness,
@@ -32,9 +31,9 @@ from kgc.rooted_cover import (
     RootedOutcome,
     _Greedy,
     _or_into,
+    _rooted_solution,
     _search_root,
     _slices,
-    cover_or_packing,
 )
 
 
@@ -62,14 +61,13 @@ def tree_corpus(count: int, min_n: int, max_n: int, seed: int):
 
 def naive_delta_doubled(D) -> int:
     """Reference four-point hyperbolicity: plain quadruple loop."""
-    d = D.d
     best = 0
-    for u, v, w, x in combinations(range(D.n), 4):
+    for u, v, w, x in combinations(range(len(D)), 4):
         sums = sorted(
             (
-                int(d[u, v]) + int(d[w, x]),
-                int(d[u, w]) + int(d[v, x]),
-                int(d[u, x]) + int(d[v, w]),
+                int(D[u, v]) + int(D[w, x]),
+                int(D[u, w]) + int(D[v, x]),
+                int(D[u, x]) + int(D[v, w]),
             )
         )
         best = max(best, sums[2] - sums[1])
@@ -78,15 +76,15 @@ def naive_delta_doubled(D) -> int:
 
 def naive_family_eccentricity(D, paths) -> int:
     members = [v for p in paths for v in p]
-    return max(min(int(D.d[v, x]) for x in members) for v in range(D.n))
+    return max(min(int(D[v, x]) for x in members) for v in range(len(D)))
 
 
 def graph_key(g: Graph):
     return (g.n, tuple(g.edges()))
 
 
-def reference_apsp(g: Graph) -> DistanceMatrix:
-    """Reference hop distances: one plain Python BFS per source."""
+def reference_apsp(g: Graph) -> np.ndarray:
+    """Reference hop distances, read-only: one plain Python BFS per source."""
     n = g.n
     d = np.full((n, n), -1, dtype=np.int32)
     for s in range(n):
@@ -100,7 +98,7 @@ def reference_apsp(g: Graph) -> DistanceMatrix:
                     row[w] = row[u] + 1
                     queue.append(w)
     d.setflags(write=False)
-    return DistanceMatrix(n=n, d=d)
+    return d
 
 
 def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
@@ -110,10 +108,9 @@ def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
     aligned with v's ball.  Builds a geodesic at every pick."""
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    d = D.d
-    dr = d[r].astype(np.int64)
-    aligned = d == np.abs(dr[:, None] - dr[None, :])
-    ball = d <= radius
+    dr = D[r].astype(np.int64)
+    aligned = D == np.abs(dr[:, None] - dr[None, :])
+    ball = D <= radius
     alive = np.ones(g.n, dtype=bool)
     picks, sigmas = [], []
     while alive.any() and len(picks) < 2 * k:
@@ -224,7 +221,7 @@ def reference_perfect_matching(H):
 def reference_find_shallow_pairing(D, pi, gamma_doubled):
     """Reference per-apex loop: one pairing graph per vertex in id order,
     apexes with an isolated position skipped, the rest matched in full."""
-    for v in range(D.n):
+    for v in range(len(D)):
         H = pairing_graph(D, v, pi, gamma_doubled)
         if not H.any(axis=1).all():
             continue
@@ -238,12 +235,12 @@ def reference_find_shallow_pairing(D, pi, gamma_doubled):
 def reference_min_gamma_pairing(D, pi):
     """Reference shallowest pairing: every achieved product, ascending,
     through the per-apex loop."""
-    d = D.d.astype(np.int64)
+    d = D.astype(np.int64)
     candidates = sorted(
         {
             int(d[pi[i], v] + d[pi[j], v] - d[pi[i], pi[j]])
             for i, j in combinations(range(len(pi)), 2)
-            for v in range(D.n)
+            for v in range(len(D))
         }
     )
     for doubled in candidates:
@@ -266,48 +263,43 @@ def reference_verify_packing(g, D, r, radius, vertices) -> bool:
 # computed one at a time, for the property tests.
 
 
-def gromov_product(D: DistanceMatrix, x: int, y: int, z: int) -> int:
+def gromov_product(D: np.ndarray, x: int, y: int, z: int) -> int:
     """Doubled (x|y)_z: 2 (x|y)_z = d(x,z) + d(z,y) - d(x,y), exactly."""
-    d = D.d
-    return int(d[x, z]) + int(d[z, y]) - int(d[x, y])
+    return int(D[x, z]) + int(D[z, y]) - int(D[x, y])
 
 
-def path_through(g: Graph, D: DistanceMatrix, r: int, a: int, b: int) -> VertexPath:
+def path_through(g: Graph, D: np.ndarray, r: int, a: int, b: int) -> VertexPath:
     """Geodesic from r to b through a; requires d(r,a) + d(a,b) = d(r,b)."""
-    d = D.d
-    if int(d[r, a]) + int(d[a, b]) != int(d[r, b]):
+    if int(D[r, a]) + int(D[a, b]) != int(D[r, b]):
         raise ValueError(f"{a} does not lie between {r} and {b}")
     return shortest_path(g, D, r, a) + shortest_path(g, D, a, b)[1:]
 
 
-def exists_covering_rpath(g: Graph, D: DistanceMatrix, r: int, u: int, w: int, radius: int) -> bool:
+def exists_covering_rpath(g: Graph, D: np.ndarray, r: int, u: int, w: int, radius: int) -> bool:
     """True iff some isometric path ending at r passes within ``radius`` of
     both u and w (the vertex-pair reduction in ``kgc.geodesics``)."""
-    d = D.d
-    dr = d[r]
-    ball_u = np.flatnonzero(d[u] <= radius)
-    ball_w = np.flatnonzero(d[w] <= radius)
-    sub = d[np.ix_(ball_u, ball_w)] == np.abs(dr[ball_u][:, None] - dr[ball_w][None, :])
+    dr = D[r]
+    ball_u = np.flatnonzero(D[u] <= radius)
+    ball_w = np.flatnonzero(D[w] <= radius)
+    sub = D[np.ix_(ball_u, ball_w)] == np.abs(dr[ball_u][:, None] - dr[ball_w][None, :])
     return bool(sub.any())
 
 
-def covering_reach(g: Graph, D: DistanceMatrix, r: int, w: int, radius: int) -> np.ndarray:
+def covering_reach(g: Graph, D: np.ndarray, r: int, w: int, radius: int) -> np.ndarray:
     """Boolean vector over vertices u of ``exists_covering_rpath(r, u, w, radius)``."""
-    d = D.d
-    dr = d[r]
-    ball_w = np.flatnonzero(d[w] <= radius)
-    candidates = (d[:, ball_w] == np.abs(dr[:, None] - dr[ball_w][None, :])).any(axis=1)
+    dr = D[r]
+    ball_w = np.flatnonzero(D[w] <= radius)
+    candidates = (D[:, ball_w] == np.abs(dr[:, None] - dr[ball_w][None, :])).any(axis=1)
     # u qualifies iff its radius-ball meets the candidate set
-    return (d[:, np.flatnonzero(candidates)] <= radius).any(axis=1)
+    return (D[:, np.flatnonzero(candidates)] <= radius).any(axis=1)
 
 
-def fiber(D: DistanceMatrix, u: int, x: int, pi, tau_hat_doubled: int) -> tuple[int, ...]:
+def fiber(D: np.ndarray, u: int, x: int, pi, tau_hat_doubled: int) -> tuple[int, ...]:
     """Profile members y with (x|y)_u >= 2*tau_hat + 1, in profile order.
 
     One occurrence of x itself is skipped (a member is never in its own
     fiber); any further duplicates count, with (x|x)_u = d(x,u).
     """
-    d = D.d
     threshold = 2 * tau_hat_doubled + 2  # doubled form of 2*tau_hat + 1
     out = []
     skipped_self = False
@@ -315,52 +307,50 @@ def fiber(D: DistanceMatrix, u: int, x: int, pi, tau_hat_doubled: int) -> tuple[
         if y == x and not skipped_self:
             skipped_self = True
             continue
-        if int(d[x, u]) + int(d[u, y]) - int(d[x, y]) >= threshold:
+        if int(D[x, u]) + int(D[u, y]) - int(D[x, y]) >= threshold:
             out.append(y)
     return tuple(out)
 
 
-def pairing_graph(D: DistanceMatrix, v: int, pi, gamma_doubled: int) -> np.ndarray:
+def pairing_graph(D: np.ndarray, v: int, pi, gamma_doubled: int) -> np.ndarray:
     """Boolean adjacency over profile positions: i ~ j iff 2 (pi[i]|pi[j])_v <= gamma_doubled.
 
     Distinct positions holding the same vertex x get (x|x)_v = d(x,v).
     The diagonal is False.
     """
     members = np.asarray(pi, dtype=np.int64)
-    dv = D.d[members, v].astype(np.int64)
-    cross = D.d[np.ix_(members, members)].astype(np.int64)
+    dv = D[members, v].astype(np.int64)
+    cross = D[np.ix_(members, members)].astype(np.int64)
     adj = dv[:, None] + dv[None, :] - cross <= gamma_doubled
     np.fill_diagonal(adj, False)
     return adj
 
 
-def total_distance(D: DistanceMatrix, pi, v: int) -> int:
+def total_distance(D: np.ndarray, pi, v: int) -> int:
     """Sum of distances from v to every profile member."""
-    return int(sum(int(D.d[v, x]) for x in pi))
+    return int(sum(int(D[v, x]) for x in pi))
 
 
-def pairing_distance(D: DistanceMatrix, pairing) -> int:
+def pairing_distance(D: np.ndarray, pairing) -> int:
     """Sum of pair distances; never exceeds total_distance at any vertex."""
     pairs = pairing.pairs if isinstance(pairing, Pairing) else tuple(pairing)
-    return int(sum(int(D.d[x, y]) for x, y in pairs))
+    return int(sum(int(D[x, y]) for x, y in pairs))
 
 
-def scan_root(g: Graph, D: DistanceMatrix, r: int, k: int, upto: int | None = None) -> list[bool]:
+def scan_root(g: Graph, D: np.ndarray, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Greedy outcome (cover?) from root r at each radius 0..upto (default n)."""
     limit = g.n if upto is None else upto
     greedy = _Greedy(D)
-    return [
-        cover_or_packing(g, D, r, radius, k, greedy=greedy).is_cover
-        for radius in range(limit + 1)
-    ]
+    return [bool(greedy.run([r], radius, k)[0][0]) for radius in range(limit + 1)]
 
 
-def min_radius_for_root(g: Graph, D: DistanceMatrix, r: int, k: int):
+def min_radius_for_root(g: Graph, D: np.ndarray, r: int, k: int):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
     greedy = _Greedy(D)
-    cover = cover_or_packing(g, D, r, g.n, k, greedy=greedy).cover  # radius n covers
-    return _search_root(greedy, g, D, r, k, g.n, cover)
+    _, picks = greedy.run([r], g.n, k)  # radius n covers
+    found = _rooted_solution(g, D, r, *_search_root(greedy, r, k, g.n, picks[0]))
+    return found.radius, found.cover, found.packing_witness
 
 
 def solve_tree(g: Graph, k: int) -> SolveResult:
@@ -375,7 +365,7 @@ def solve_tree(g: Graph, k: int) -> SolveResult:
     return replace(result, exact=True)
 
 
-def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCaps | None = None) -> dict:
+def check_rooted_relaxation(g: Graph, D: np.ndarray, k: int, caps: OracleCaps | None = None) -> dict:
     """Re-root an optimal cover at each of its endpoints and measure how far
     the rooted family's eccentricity exceeds the optimum; the excess is
     bounded by the thinness estimate."""
@@ -399,7 +389,7 @@ def check_rooted_relaxation(g: Graph, D: DistanceMatrix, k: int, caps: OracleCap
 
 
 def check_subdivision_lemma(
-    g: Graph, D: DistanceMatrix, k: int, length: int, caps: OracleCaps | None = None
+    g: Graph, D: np.ndarray, k: int, length: int, caps: OracleCaps | None = None
 ) -> dict:
     """Subdividing every edge into ``length`` hops scales the optimum by at
     most length plus half a chain, and distances to subdivided geodesics
@@ -417,8 +407,8 @@ def check_subdivision_lemma(
             P = shortest_path(H, DH, u, v)
             Q = [x for x in P if x < g.n]  # original vertices keep their ids
             for w in range(g.n):
-                dP = min(int(DH.d[w, x]) for x in P)
-                dQ = min(int(D.d[w, x]) for x in Q)
+                dP = min(int(DH[w, x]) for x in P)
+                dQ = min(int(D[w, x]) for x in Q)
                 # the binding case of: d(w,P) < (r+1)*length implies d(w,Q) <= r
                 if dQ >= 2 and dP < dQ * length:
                     contraction_ok = False

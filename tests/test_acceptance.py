@@ -201,7 +201,7 @@ def test_criterion_4_dichotomy():
         D = apsp(g)
         tau = 4 * four_point_delta(D)
         r = rng.below(g.n)
-        radius = rng.below(int(D.d.max()) + 1)
+        radius = rng.below(int(D.max()) + 1)
         k = 1 + rng.below(3)
         if k > g.n:
             continue
@@ -330,7 +330,7 @@ def _covering_truth_table(g: Graph, D, r: int, radius: int) -> int:
     for v in range(n):
         row = 0
         for u in range(n):
-            if D.d[v, u] <= radius:
+            if D[v, u] <= radius:
                 row |= 1 << u
         ball_bits.append(row)
     masks = set()
@@ -374,7 +374,7 @@ def test_criterion_7_covering_test_equivalence():
     for idx, g in enumerate(graphs):
         D = apsp(g)
         n = g.n
-        diam = int(D.d.max())
+        diam = int(D.max())
         spot_check = idx % 25 == 0  # exercise the public single-pair entry too
         for r in range(n):
             for radius in range(diam + 1):

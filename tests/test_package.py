@@ -1,7 +1,8 @@
 """The package namespace holds what the README and the command line use;
 every other name is imported from its module.  The keyword parameters of
 ``solve`` and the flags of ``kgc solve`` and ``kgc delta`` are pinned the
-same way, so an option is added or removed only on purpose."""
+same way, so an option is added or removed only on purpose, and the
+README's library quickstart runs as written."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import dataclasses
 import inspect
 import json
 import re
+from pathlib import Path
 
 import kgc
 from kgc.cli import main
@@ -17,7 +19,6 @@ PUBLIC = [
     "BoundReport",
     "CapExceededError",
     "DELTA_VERTEX_CAP",
-    "DistanceMatrix",
     "Graph",
     "GraphFormatError",
     "GraphValidationError",
@@ -104,3 +105,12 @@ def test_solve_flags_are_pinned(capsys):
 
 def test_delta_flags_are_pinned(capsys):
     assert _flags(capsys, "delta") == DELTA_FLAGS
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

@@ -87,7 +87,7 @@ def test_packing_downward_monotone():
     rng = SplitMix64(321)
     for g in small_graph_corpus(10, 10, seed=121):
         D = apsp(g)
-        diam = int(D.d.max())
+        diam = int(D.max())
         for _ in range(6):
             r = rng.below(g.n)
             radius = rng.below(diam + 1)
@@ -172,7 +172,7 @@ def test_dichotomy_random():
     for g in small_graph_corpus(12, 11, seed=161):
         D = apsp(g)
         tau = 4 * four_point_delta(D)
-        diam = int(D.d.max())
+        diam = int(D.max())
         for _ in range(8):
             r = rng.below(g.n)
             radius = rng.below(diam + 1)
@@ -196,7 +196,7 @@ def test_cover_on_trees_is_tight():
     for seed in range(8):
         g = random_tree(8 + 4 * seed, seed)
         D = apsp(g)
-        diam = int(D.d.max())
+        diam = int(D.max())
         for _ in range(4):
             r = rng.below(g.n)
             radius = rng.below(diam + 1)
@@ -256,7 +256,7 @@ def test_cover_or_packing_matches_reference():
     # geodesics give exactly the outcome of the full-matrix greedy
     for g in _differential_corpus():
         D = apsp(g)
-        diam = int(D.d.max())
+        diam = int(D.max())
         for r in range(g.n):
             for radius in range(diam + 1):
                 for k in range(1, min(4, g.n) + 1):
@@ -284,7 +284,7 @@ def test_survivors_match_full_ball_reference():
         greedy = kgc.rooted_cover._Greedy(D)
         dr = greedy.d[np.repeat(np.arange(g.n), g.n)]
         v = np.tile(np.arange(g.n), g.n)
-        for radius in range(1, int(D.d.max()) + 2):
+        for radius in range(1, int(D.max()) + 2):
             expected = reference_survivors(greedy, dr, v, radius)
             assert (greedy._survivors(dr, v, radius) == expected).all()
 
@@ -300,7 +300,7 @@ def _lockstep_outcomes(g, D, radius, k):
 def _assert_lockstep_matches_reference():
     for g in _differential_corpus():
         D = apsp(g)
-        for radius in range(int(D.d.max()) + 1):
+        for radius in range(int(D.max()) + 1):
             for k in range(1, min(4, g.n) + 1):
                 outcomes = _lockstep_outcomes(g, D, radius, k)
                 for r in range(g.n):
@@ -341,7 +341,7 @@ def test_ball_bits_keep_a_bounded_number_of_radii():
     for radius in range(40):
         bits = greedy.ball_bits(radius)
         ball = np.unpackbits(bits, axis=1, count=g.n).astype(bool)
-        assert (ball == (apsp(g).d <= radius)).all()
+        assert (ball == (apsp(g) <= radius)).all()
     assert len(greedy._bits) == kgc.rooted_cover._BALL_RADII
 
 
@@ -383,7 +383,7 @@ def test_best_root_allocates_no_square_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * D.d.nbytes
+    assert peak <= 3.5 * D.nbytes
 
 
 def test_verify_packing_matches_pairwise_reference():

@@ -57,7 +57,7 @@ def has_perfect_matching_brute(H) -> bool:
 def brute_min_gamma(D, pi) -> int:
     """Exhaustive minimum doubled gamma over every (apex, pairing)."""
     best = None
-    for v in range(D.n):
+    for v in range(len(D)):
         for pairing in all_pairings(list(range(len(pi)))):
             worst = max(
                 gromov_product(D, pi[i], pi[j], v) for i, j in pairing
@@ -306,7 +306,7 @@ def test_apex_near_pair_geodesics():
         pi = tuple(rng.below(g.n) for _ in range(6))
         p = min_gamma_pairing(D, pi)
         for path in paths_of_pairing(g, D, p):
-            reach = min(int(D.d[p.apex, x]) for x in path)
+            reach = min(int(D[p.apex, x]) for x in path)
             assert 2 * reach <= p.gamma_doubled + tau + 2
 
 
