@@ -27,8 +27,8 @@ from .graph_core import (
 )
 from .geodesics import family_eccentricity, is_isometric
 from .oracle import OracleCaps, exact_optimum
-from .rooted_cover import cover_or_packing, verify_packing
-from .solver import bound_range, solve
+from .rooted_cover import RootedSolution, cover_or_packing, verify_packing
+from .solver import bound_range, build_profile, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -159,25 +159,9 @@ def cmd_verify(args) -> int:
     }
     ok = cover_ok
 
-    pairing = data.get("pairing")
-    if pairing is not None:
-        # the paths run between the distinct pairs, in the pairs' order
-        pairs = _field(pairing, "pairs")
-        pairs_ok = (
-            shaped
-            and all(paths)
-            and isinstance(pairs, list)
-            and all(_is_vertex_list(p, g.n) and len(p) == 2 for p in pairs)
-            and [(p[0], p[-1]) for p in paths] == list(dict.fromkeys(map(tuple, pairs)))
-        )
-        report["pairing"] = {
-            "pairs": len(pairs) if isinstance(pairs, list) else None,
-            "ok": pairs_ok,
-        }
-        ok = ok and pairs_ok
-
     rooted = data.get("rooted")
     root, rooted_radius = _field(rooted, "root"), _field(rooted, "R")
+    rooted_ok = False
     if rooted is not None:
         # the rooted cover: at most 2k-1 geodesics, each out of the root, and
         # the very cover the greedy returns from the root at rooted.R, so a
@@ -199,6 +183,34 @@ def cmd_verify(args) -> int:
         )
         report["rooted"] = {"paths": count, "ok": rooted_ok}
         ok = ok and rooted_ok
+
+    pairing = data.get("pairing")
+    if pairing is not None:
+        # the paths run between the distinct pairs, in the pairs' order; the
+        # pairs partition the 2k-vertex profile of the checked rooted cover,
+        # so there are k of them; and the largest doubled Gromov product at
+        # the apex is gamma, since with a smaller one the apex would have
+        # matched at a lower achieved level
+        pairs = _field(pairing, "pairs")
+        apex, gamma = _field(pairing, "apex"), _field(pairing, "gamma_doubled")
+        pairs_ok = (
+            shaped
+            and all(paths)
+            and isinstance(pairs, list)
+            and all(_is_vertex_list(p, g.n) and len(p) == 2 for p in pairs)
+            and [(p[0], p[-1]) for p in paths] == list(dict.fromkeys(map(tuple, pairs)))
+            and rooted_ok
+            and sorted(v for p in pairs for v in p)
+            == sorted(build_profile(RootedSolution(root, rooted_radius, rooted_cover, None), k))
+            and _is_vertex(apex, g.n)
+            and type(gamma) is int
+            and max(int(D[x, apex] + D[y, apex] - D[x, y]) for x, y in pairs) == gamma
+        )
+        report["pairing"] = {
+            "pairs": len(pairs) if isinstance(pairs, list) else None,
+            "ok": pairs_ok,
+        }
+        ok = ok and pairs_ok
 
     witness = _field(rooted, "packing_witness")
     # a rooted radius above 0 is shown least only by a witness

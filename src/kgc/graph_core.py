@@ -467,6 +467,13 @@ def _frontier_slices(frontier: np.ndarray, n: int, deg: np.ndarray):
                 yield part[a:b]
 
 
+def _adjacency_lists(M: np.ndarray) -> list[list[int]]:
+    """Per row of a boolean matrix, the columns that hold True, ascending."""
+    cols = M.nonzero()[1].tolist()  # row-major: row by row, ascending
+    ends = np.count_nonzero(M, axis=1).cumsum().tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def biconnected_blocks(D: np.ndarray) -> list[list[int]]:
     """Vertex sets of the biconnected blocks of the graph behind ``D``, each
     sorted ascending.  A bridge is a block of two vertices; a single vertex
@@ -476,7 +483,7 @@ def biconnected_blocks(D: np.ndarray) -> list[list[int]]:
     the recursion limit.  Edges are the entries of ``D`` equal to 1.
     """
     n = len(D)
-    adj = [np.flatnonzero(row == 1).tolist() for row in D]
+    adj = _adjacency_lists(D == 1)
     disc = [-1] * n
     low = [0] * n
     blocks: list[list[int]] = []

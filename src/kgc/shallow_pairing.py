@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import Graph
+from .graph_core import Graph, _adjacency_lists
 from .geodesics import VertexPath, shortest_path
 
 Profile = Sequence[int]
@@ -35,6 +35,78 @@ class Pairing:
 def _check_profile(pi: Profile) -> None:
     if len(pi) < 2 or len(pi) % 2 != 0:
         raise ValueError(f"profile length must be even and >= 2, got {len(pi)}")
+
+
+def _augment(
+    adj: Sequence[Sequence[int]], match: list[int], root: int, removed: Sequence[int] = ()
+) -> bool:
+    """One search of Edmonds' blossom algorithm from the exposed vertex
+    ``root``: flip the first augmenting path found in ``match`` and return
+    True, or return False with ``match`` untouched when no augmenting path
+    starts at ``root``.  The vertices in ``removed`` count as deleted from
+    the graph; they must be unmatched."""
+    n = len(adj)
+    used = [False] * n
+    parent = [-1] * n
+    for x in removed:
+        parent[x] = -2  # unmatched and never a tree vertex: edges into x are skipped
+    base = list(range(n))
+    used[root] = True
+    queue = deque([root])
+
+    def lowest_common_base(a: int, b: int) -> int:
+        on_path = [False] * n
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if on_path[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                # odd cycle: contract the blossom to its base
+                cur_base = lowest_common_base(v, to)
+                in_blossom = [False] * n
+                mark_path(v, cur_base, to, in_blossom)
+                mark_path(to, cur_base, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur_base
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = parent[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return True
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
 
 
 def _max_matching(adj: Sequence[Sequence[int]], *, perfect: bool = False) -> list[int] | None:
@@ -55,88 +127,15 @@ def _max_matching(adj: Sequence[Sequence[int]], *, perfect: bool = False) -> lis
                 if match[to] == -1:
                     match[v], match[to] = to, v
                     break
-
-    def try_augment(root: int) -> bool:
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        queue = deque([root])
-
-        def lowest_common_base(a: int, b: int) -> int:
-            on_path = [False] * n
-            while True:
-                a = base[a]
-                on_path[a] = True
-                if match[a] == -1:
-                    break
-                a = parent[match[a]]
-            while True:
-                b = base[b]
-                if on_path[b]:
-                    return b
-                b = parent[match[b]]
-
-        def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-            while base[v] != b:
-                in_blossom[base[v]] = True
-                in_blossom[base[match[v]]] = True
-                parent[v] = child
-                child = match[v]
-                v = parent[match[v]]
-
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # odd cycle: contract the blossom to its base
-                    cur_base = lowest_common_base(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur_base, to, in_blossom)
-                    mark_path(to, cur_base, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur_base
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
     for v in range(n):
-        if match[v] == -1 and not try_augment(v) and perfect:
+        if match[v] == -1 and not _augment(adj, match, v) and perfect:
             return None
     return match
 
 
 def _neighbours(H: np.ndarray) -> list[list[int]]:
     """Adjacency lists of a boolean position graph, ascending, no self-loops."""
-    off = H & ~np.eye(len(H), dtype=bool)
-    cols = off.nonzero()[1].tolist()  # row-major: row by row, ascending
-    ends = np.count_nonzero(off, axis=1).cumsum().tolist()
-    return [cols[a:b] for a, b in zip([0, *ends], ends)]
-
-
-def _has_perfect_matching(nbrs: Sequence[Sequence[int]], active: Sequence[int]) -> bool:
-    if len(active) % 2 != 0:
-        return False
-    index = {v: i for i, v in enumerate(active)}
-    adj = [[index[w] for w in nbrs[v] if w in index] for v in active]
-    return _max_matching(adj, perfect=True) is not None
+    return _adjacency_lists(H & ~np.eye(len(H), dtype=bool))
 
 
 def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
@@ -144,27 +143,35 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     None when no perfect matching exists.
 
     The least matching is extracted by fixing, for the lowest free
-    position, the smallest partner that keeps the rest matchable; each
-    test is an exact blossom matching.
+    position i, the smallest partner j that keeps the rest matchable.  It
+    starts from one perfect matching ``mate`` and keeps it perfect on the
+    free positions.  j = mate[i] always keeps the rest matchable.  Any
+    other j leaves exactly mate[i] and mate[j] exposed once i and j are
+    removed, so by Berge's lemma the rest is matchable exactly when one
+    augmenting path joins them: each test is one search from mate[i].
     """
     nbrs = _neighbours(H)
-    remaining = list(range(len(nbrs)))
+    mate = _max_matching(nbrs, perfect=True)
+    if mate is None:
+        return None
+    paired: list[int] = []
     pairs: list[tuple[int, int]] = []
-    while remaining:
-        i = remaining[0]
-        free = set(remaining)
+    for i in range(len(nbrs)):
+        if mate[i] == -1:  # paired earlier
+            continue
         for j in nbrs[i]:
-            if j in free:
-                rest = [v for v in remaining if v != i and v != j]
-                if _has_perfect_matching(nbrs, rest):
-                    pairs.append((i, j))
-                    remaining = rest
-                    break
-        else:
-            # no partner keeps the rest matchable; once one position is
-            # fixed every later one has a partner, so this happens only at
-            # the first position, when no perfect matching exists at all
-            return None
+            if j == mate[i]:
+                break
+            if mate[j] == -1:  # paired earlier
+                continue
+            a, b = mate[i], mate[j]
+            mate[i] = mate[j] = mate[a] = mate[b] = -1
+            if _augment(nbrs, mate, a, (*paired, i, j)):
+                break
+            mate[i], mate[a], mate[j], mate[b] = a, i, b, j
+        mate[i] = mate[j] = -1
+        paired += (i, j)
+        pairs.append((i, j))
     return tuple(pairs)
 
 
@@ -198,13 +205,20 @@ def _first_apex_pairing(
     pi: Profile, prod: np.ndarray, need: np.ndarray, doubled: int
 ) -> Pairing | None:
     """First apex (in id order) whose pairing graph at doubled gamma
-    ``doubled`` has a perfect matching, with the least such matching.  Only
-    apexes that leave no position isolated are tried, and only the winner's
-    matching is built."""
-    for v in (need <= doubled).nonzero()[0].tolist():
-        H = prod[:, :, v] <= doubled
-        if _max_matching(_neighbours(H), perfect=True) is not None:
-            return _pairing_from_positions(pi, v, doubled, perfect_matching(H))
+    ``doubled`` has a perfect matching, with the least such matching.
+
+    Two screens run over all apexes at once before any matching: no
+    position may be isolated, and no two positions of degree 1 may share
+    their only neighbour, since a perfect matching pairs each with it.
+    Only the apexes that pass reach the blossom existence test, and only
+    the winner's matching is built."""
+    H = prod <= doubled
+    # int32 sums: numpy's default int64 accumulator makes the screen twice as slow
+    leaf = H.sum(axis=1, dtype=np.int32) == 1
+    shared = (leaf[:, None, :] & H).sum(axis=0, dtype=np.int32).max(axis=0) > 1
+    for v in ((need <= doubled) & ~shared).nonzero()[0].tolist():
+        if _max_matching(_neighbours(H[:, :, v]), perfect=True) is not None:
+            return _pairing_from_positions(pi, v, doubled, perfect_matching(H[:, :, v]))
     return None
 
 

@@ -401,6 +401,32 @@ def test_verify_fails_pairs_not_matching_paths(tmp_path, capsys):
     _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "pairing", edits)
 
 
+# solved at k = 3: apex 20, gamma_doubled 0, pairs [1, 26], [6, 18], [13, 19]
+_PAIRING_GRAPH = dict(n=40, m=50, seed=3)
+
+
+def test_verify_checks_pairing_apex_and_gamma(tmp_path, capsys):
+    # apex 27 is a vertex, but its largest product over the pairs is 4
+    edits = [_edit("pairing", "apex", to=t) for t in (lambda v: 27, lambda v: -1)]
+    edits += [_edit("pairing", "apex", to=t) for t in (None, *_NON_INTEGERS)]
+    edits += [_edit("pairing", "gamma_doubled", to=t) for t in (lambda v: 999, lambda v: -1)]
+    edits += [_edit("pairing", "gamma_doubled", to=t) for t in (None, *_NON_INTEGERS)]
+    g = random_connected(**_PAIRING_GRAPH)
+    _assert_each_edit_fails(tmp_path, capsys, g, 3, "pairing", edits)
+
+
+def test_verify_checks_pairing_partitions_the_profile(tmp_path, capsys):
+    # the paths follow the distinct pairs in each edit, but there are not k
+    # pairs, or their endpoints are not the rooted cover's profile
+    def repeat_first(data):
+        data["pairing"]["pairs"] = [data["pairing"]["pairs"][0]] * 3
+        data["paths"] = data["paths"][:1]
+
+    edits = [_edit("pairing", "pairs", to=lambda v: v + v[:1]), repeat_first]
+    g = random_connected(**_PAIRING_GRAPH)
+    _assert_each_edit_fails(tmp_path, capsys, g, 3, "pairing", edits)
+
+
 def test_verify_checks_rooted_cover(tmp_path, capsys):
     # three geodesics out of root 2, at most 2k - 1 = 3
     edits = [

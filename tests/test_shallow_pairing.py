@@ -466,40 +466,89 @@ def test_matching_early_exit_matches_brute_force():
     assert perfect >= 300 and imperfect >= 300
 
 
+def _passes_leaf_screen(H) -> bool:
+    """No two positions of degree 1 share their only neighbour."""
+    leaves = H.sum(axis=1) == 1
+    return bool((H[leaves].sum(axis=0) <= 1).all())
+
+
+def _record(patch, module, name, log):
+    """Patch the one-argument ``module.name`` to log its argument."""
+    fn = getattr(module, name)
+    patch.setattr(module, name, lambda H: log.append(H) or fn(H))
+
+
 def test_min_gamma_pairing_screens_before_matching(monkeypatch):
-    # work guard: only apexes with no isolated position reach the matching
-    # code (every apex graph passes through _neighbours), and only the
-    # winning apex reaches perfect_matching
+    # work guard: only apexes with no isolated position and no two degree-1
+    # positions sharing a neighbour reach the matching code (every apex
+    # graph passes through _neighbours), fewer of them than the reference
+    # matches, and only the winning apex reaches perfect_matching
     for seed in (1, 3, 5):
         g = random_connected(120, 144, seed)
         D = apsp(g)
         pi = build_profile(best_root(g, D, 9), 9)
 
         parent_calls = []
-        reference = conftest.reference_perfect_matching
         with monkeypatch.context() as patch:
-            patch.setattr(
-                conftest,
-                "reference_perfect_matching",
-                lambda H: parent_calls.append(H) or reference(H),
-            )
+            _record(patch, conftest, "reference_perfect_matching", parent_calls)
             expected = reference_min_gamma_pairing(D, pi)
 
         calls, graphs = [], []
-        matcher = kgc.shallow_pairing.perfect_matching
-        neighbours = kgc.shallow_pairing._neighbours
         with monkeypatch.context() as patch:
-            patch.setattr(
-                kgc.shallow_pairing,
-                "perfect_matching",
-                lambda H: calls.append(H) or matcher(H),
-            )
-            patch.setattr(
-                kgc.shallow_pairing,
-                "_neighbours",
-                lambda H: graphs.append(H) or neighbours(H),
-            )
+            _record(patch, kgc.shallow_pairing, "perfect_matching", calls)
+            _record(patch, kgc.shallow_pairing, "_neighbours", graphs)
             assert min_gamma_pairing(D, pi) == expected
         assert graphs and all(H.any(axis=1).all() for H in graphs)
-        assert len(graphs) == len(parent_calls) + 1  # the winner's extraction
+        assert all(_passes_leaf_screen(H) for H in graphs)
+        assert len(graphs) < len(parent_calls)
         assert len(calls) == 1 < len(parent_calls)
+
+
+def _random_position_graph(rng, size, density):
+    H = np.zeros((size, size), dtype=bool)
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.below(100) < density:
+                H[i, j] = H[j, i] = True
+    return H
+
+
+def test_perfect_matching_matches_reference():
+    # the warm-started extraction against full matchings of every remainder;
+    # odd sizes, isolated positions and leaves sharing a neighbour give
+    # graphs with no perfect matching
+    rng = SplitMix64(6060)
+    none = least = 0
+    for trial in range(1500):
+        size = 2 * (1 + rng.below(7)) - (rng.below(8) == 0)  # mostly even
+        H = _random_position_graph(rng, size, 20 + rng.below(70))
+        expected = conftest.reference_perfect_matching(H)
+        assert perfect_matching(H) == expected
+        none += expected is None
+        # the least matching differs from the greedy-then-augment start
+        if expected is not None:
+            start = _max_matching(kgc.shallow_pairing._neighbours(H), perfect=True)
+            least += any(start[i] != j for i, j in expected)
+    assert none >= 300 and least >= 150
+
+
+def test_min_gamma_pairing_matches_reference_past_the_leaf_screen(monkeypatch):
+    # cyclic-wide shapes, where most apexes that fail have two degree-1
+    # positions sharing their only neighbour
+    rng = SplitMix64(9090)
+    rejected = 0
+    for seed in range(6):
+        g = random_connected(50 + 10 * seed, 60 + 12 * seed, 900 + seed)
+        D = apsp(g)
+        k = 6 + rng.below(7)
+        for pi in (build_profile(best_root(g, D, k), k), *_profiles(rng, g.n, k)):
+            parent_calls, graphs = [], []
+            with monkeypatch.context() as patch:
+                _record(patch, conftest, "reference_perfect_matching", parent_calls)
+                expected = reference_min_gamma_pairing(D, pi)
+            with monkeypatch.context() as patch:
+                _record(patch, kgc.shallow_pairing, "_neighbours", graphs)
+                assert min_gamma_pairing(D, pi) == expected
+            # one of the graphs is the winner's extraction
+            rejected += len(parent_calls) - (len(graphs) - 1)
+    assert rejected >= 200
