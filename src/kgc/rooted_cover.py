@@ -76,7 +76,6 @@ class RootedSolution:
 
 _CELLS = 1 << 16  # cells in any one score, kill or alignment temporary
 _FIRST_CHUNK = 4  # roots probed together after a cover; doubles up to the budget
-_BALL_RADII = 16  # packed ball matrices kept at once, n*n/8 bytes each
 
 
 def _aligned_with_ball(d: np.ndarray, dr: np.ndarray, v: int, radius: int) -> np.ndarray:
@@ -123,24 +122,21 @@ class _Greedy:
         self.n = len(D)
         self.d = D.astype(np.int16) if self.n < 2**15 else D
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
-        self._bits: dict[int, np.ndarray] = {}
+        self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
 
     def max_roots(self) -> int:
         return max(1, _CELLS // self.n)
 
     def ball_bits(self, radius: int) -> np.ndarray:
-        """Rows of ``D <= radius`` packed eight vertices a byte, built once
-        per radius (the oldest of ``_BALL_RADII`` radii is dropped)."""
-        bits = self._bits.get(radius)
-        if bits is None:
-            if len(self._bits) == _BALL_RADII:
-                del self._bits[next(iter(self._bits))]
+        """Rows of ``D <= radius`` packed eight vertices a byte; the rows of
+        the last radius asked for are kept, a new radius replaces them."""
+        if self._ball is None or self._ball[0] != radius:
             bits = np.zeros((self.n, self.pad // 8), dtype=np.uint8)
             for part in _slices(self.n, self.n):
                 packed = np.packbits(self.d[part] <= radius, axis=1)
                 bits[part, : packed.shape[1]] = packed
-            self._bits[radius] = bits
-        return bits
+            self._ball = (radius, bits)
+        return self._ball[1]
 
     def _survivors(self, dr: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
         """Rows of the vertices that survive the picks ``v`` at radius > 0:
@@ -302,7 +298,7 @@ def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
     winning root.
 
     Beyond ``D`` the search holds an int16 copy of it, the packed ball rows
-    of the radii it probes (n*n/8 bytes each) and temporaries under the
+    of the last radius it probed (n*n/8 bytes) and temporaries under the
     cell budget.
     """
     check_k(g, k)

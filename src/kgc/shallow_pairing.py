@@ -133,14 +133,10 @@ def _max_matching(adj: Sequence[Sequence[int]], *, perfect: bool = False) -> lis
     return match
 
 
-def _neighbours(H: np.ndarray) -> list[list[int]]:
-    """Adjacency lists of a boolean position graph, ascending, no self-loops."""
-    return _adjacency_lists(H & ~np.eye(len(H), dtype=bool))
-
-
 def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     """Lexicographically least perfect matching of the position graph, or
-    None when no perfect matching exists.
+    None when no perfect matching exists.  ``H`` is a symmetric boolean
+    matrix with a False diagonal (no position is paired with itself).
 
     The least matching is extracted by fixing, for the lowest free
     position i, the smallest partner j that keeps the rest matchable.  It
@@ -150,7 +146,7 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     removed, so by Berge's lemma the rest is matchable exactly when one
     augmenting path joins them: each test is one search from mate[i].
     """
-    nbrs = _neighbours(H)
+    nbrs = _adjacency_lists(H)
     mate = _max_matching(nbrs, perfect=True)
     if mate is None:
         return None
@@ -210,15 +206,16 @@ def _first_apex_pairing(
     Two screens run over all apexes at once before any matching: no
     position may be isolated, and no two positions of degree 1 may share
     their only neighbour, since a perfect matching pairs each with it.
-    Only the apexes that pass reach the blossom existence test, and only
-    the winner's matching is built."""
+    Each apex that passes gets one ``perfect_matching`` call, whose
+    existence test rejects it or whose extraction is the answer."""
     H = prod <= doubled
     # int32 sums: numpy's default int64 accumulator makes the screen twice as slow
     leaf = H.sum(axis=1, dtype=np.int32) == 1
     shared = (leaf[:, None, :] & H).sum(axis=0, dtype=np.int32).max(axis=0) > 1
     for v in ((need <= doubled) & ~shared).nonzero()[0].tolist():
-        if _max_matching(_neighbours(H[:, :, v]), perfect=True) is not None:
-            return _pairing_from_positions(pi, v, doubled, perfect_matching(H[:, :, v]))
+        matched = perfect_matching(H[:, :, v])
+        if matched is not None:
+            return _pairing_from_positions(pi, v, doubled, matched)
     return None
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from kgc import (
     DELTA_VERTEX_CAP,
@@ -84,7 +85,7 @@ def test_gen_grid_then_delta(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "gen", "--type", "grid", "--w", "3", "--h", "3",
                          "-o", gpath)
     assert code == 0
-    g = load_graph(open(gpath).read())
+    g = load_graph(Path(gpath).read_text())
     assert g.n == 9 and g.m == 12
     code, out, _ = run_cli(capsys, "delta", "-g", gpath)
     assert code == 0
@@ -132,7 +133,7 @@ def test_verify_round_trip(tmp_path, capsys):
     solved = str(tmp_path / "out.json")
     code, _, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "2", "-o", solved)
     assert code == 0
-    radius = json.loads(open(solved).read())["radius"]
+    radius = json.loads(Path(solved).read_text())["radius"]
     code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", solved,
                            "--radius", str(radius))
     assert code == 0
@@ -154,7 +155,7 @@ def test_verify_exact_output_round_trip(tmp_path, capsys):
     out_json = str(tmp_path / "exact.json")
     code, _, _ = run_cli(capsys, "exact", "-g", gpath, "-k", "2", "-o", out_json)
     assert code == 0
-    radius = json.loads(open(out_json).read())["radius"]
+    radius = json.loads(Path(out_json).read_text())["radius"]
     code, _, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", out_json,
                          "--radius", str(radius))
     assert code == 0
@@ -567,7 +568,7 @@ def test_gen_subdivide(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "gen", "--type", "cycle", "--n", "3",
                          "--subdivide", "2", "-o", gpath)
     assert code == 0
-    g = load_graph(open(gpath).read())
+    g = load_graph(Path(gpath).read_text())
     assert g.n == 6 and g.m == 6
 
 

@@ -335,14 +335,25 @@ def test_slices_cover_every_row_once(monkeypatch):
             assert np.concatenate([rows[:0], *parts]).tolist() == rows.tolist()
 
 
-def test_ball_bits_keep_a_bounded_number_of_radii():
+def test_ball_bits_keep_the_last_radius(monkeypatch):
+    # every radius's rows are D <= radius; asking for the kept radius again
+    # returns the same array with no rebuild, and a new radius replaces it,
+    # so radius 38, asked for again after 39, is built a second time
     g = path_graph(40)
-    greedy = kgc.rooted_cover._Greedy(apsp(g))
-    for radius in range(40):
+    D = apsp(g)
+    greedy = kgc.rooted_cover._Greedy(D)
+    builds = []
+    slices = kgc.rooted_cover._slices
+    monkeypatch.setattr(
+        kgc.rooted_cover, "_slices", lambda *a: builds.append(a) or slices(*a)
+    )
+    for step, radius in enumerate((*range(40), 38)):
         bits = greedy.ball_bits(radius)
+        assert len(builds) == step + 1
         ball = np.unpackbits(bits, axis=1, count=g.n).astype(bool)
-        assert (ball == (apsp(g) <= radius)).all()
-    assert len(greedy._bits) == kgc.rooted_cover._BALL_RADII
+        assert (ball == (D <= radius)).all()
+        assert greedy.ball_bits(radius) is bits
+        assert len(builds) == step + 1
 
 
 def test_best_root_covers_mid_chunk(monkeypatch):

@@ -14,7 +14,7 @@ from kgc import (
 )
 import conftest
 import kgc.shallow_pairing
-from kgc.graph_core import SplitMix64
+from kgc.graph_core import SplitMix64, _adjacency_lists
 from kgc.rooted_cover import best_root
 from kgc.shallow_pairing import (
     _max_matching,
@@ -480,9 +480,9 @@ def _record(patch, module, name, log):
 
 def test_min_gamma_pairing_screens_before_matching(monkeypatch):
     # work guard: only apexes with no isolated position and no two degree-1
-    # positions sharing a neighbour reach the matching code (every apex
-    # graph passes through _neighbours), fewer of them than the reference
-    # matches, and only the winning apex reaches perfect_matching
+    # positions sharing a neighbour reach the matching code, fewer of them
+    # than the reference matches, and each of them is one perfect_matching
+    # call (every apex graph passes through _adjacency_lists once)
     for seed in (1, 3, 5):
         g = random_connected(120, 144, seed)
         D = apsp(g)
@@ -496,12 +496,11 @@ def test_min_gamma_pairing_screens_before_matching(monkeypatch):
         calls, graphs = [], []
         with monkeypatch.context() as patch:
             _record(patch, kgc.shallow_pairing, "perfect_matching", calls)
-            _record(patch, kgc.shallow_pairing, "_neighbours", graphs)
+            _record(patch, kgc.shallow_pairing, "_adjacency_lists", graphs)
             assert min_gamma_pairing(D, pi) == expected
         assert graphs and all(H.any(axis=1).all() for H in graphs)
         assert all(_passes_leaf_screen(H) for H in graphs)
-        assert len(graphs) < len(parent_calls)
-        assert len(calls) == 1 < len(parent_calls)
+        assert len(calls) == len(graphs) < len(parent_calls)
 
 
 def _random_position_graph(rng, size, density):
@@ -527,7 +526,7 @@ def test_perfect_matching_matches_reference():
         none += expected is None
         # the least matching differs from the greedy-then-augment start
         if expected is not None:
-            start = _max_matching(kgc.shallow_pairing._neighbours(H), perfect=True)
+            start = _max_matching(_adjacency_lists(H), perfect=True)
             least += any(start[i] != j for i, j in expected)
     assert none >= 300 and least >= 150
 
@@ -547,8 +546,7 @@ def test_min_gamma_pairing_matches_reference_past_the_leaf_screen(monkeypatch):
                 _record(patch, conftest, "reference_perfect_matching", parent_calls)
                 expected = reference_min_gamma_pairing(D, pi)
             with monkeypatch.context() as patch:
-                _record(patch, kgc.shallow_pairing, "_neighbours", graphs)
+                _record(patch, kgc.shallow_pairing, "_adjacency_lists", graphs)
                 assert min_gamma_pairing(D, pi) == expected
-            # one of the graphs is the winner's extraction
-            rejected += len(parent_calls) - (len(graphs) - 1)
+            rejected += len(parent_calls) - len(graphs)
     assert rejected >= 200
