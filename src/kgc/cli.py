@@ -251,10 +251,12 @@ def cmd_verify(args) -> int:
         reported = (_field(bounds, "lower"), _field(bounds, "upper"))
         bounds_ok = all(type(x) is int for x in reported) and reported == expected
         lower, upper = expected or (None, None)
-        # a computed tau makes upper a bound on the paths' radius; a
-        # supplied one only if it holds, which verify cannot tell
-        if bounds_ok and source == "computed" and ecc is not None:
-            bounds_ok = ecc <= upper
+        # a computed tau must be the solver's own, four times the four-point
+        # delta (past its cap, exit 2), and it makes upper a bound on the
+        # paths' radius; a supplied one only if it holds, which verify
+        # cannot tell
+        if bounds_ok and source == "computed":
+            bounds_ok = tau == 4 * four_point_delta(D) and (ecc is None or ecc <= upper)
         report["bounds"] = {"lower": lower, "upper": upper, "ok": bounds_ok}
         ok = ok and bounds_ok
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +30,6 @@ class Pairing:
     apex: int
     gamma_doubled: int
     pairs: tuple[tuple[int, int], ...]
-
-
-def _check_profile(pi: Profile) -> None:
-    if len(pi) < 2 or len(pi) % 2 != 0:
-        raise ValueError(f"profile length must be even and >= 2, got {len(pi)}")
 
 
 def _augment(
@@ -109,34 +104,15 @@ def _augment(
     return False
 
 
-def _max_matching(adj: Sequence[Sequence[int]], *, perfect: bool = False) -> list[int] | None:
-    """Maximum-cardinality matching on a general graph (blossom contraction).
-
-    Deterministic: starts from a greedy matching in vertex-id order, then
-    augments from each exposed vertex in id order, scanning the given
-    adjacency order.  Returns mate[v] (-1 if unmatched).  With ``perfect``
-    it returns None at the first exposed vertex that has no augmenting
-    path: such a vertex stays exposed in a maximum matching (Edmonds 1965),
-    so no perfect matching exists.
-    """
-    n = len(adj)
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for to in adj[v]:
-                if match[to] == -1:
-                    match[v], match[to] = to, v
-                    break
-    for v in range(n):
-        if match[v] == -1 and not _augment(adj, match, v) and perfect:
-            return None
-    return match
-
-
 def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     """Lexicographically least perfect matching of the position graph, or
     None when no perfect matching exists.  ``H`` is a symmetric boolean
     matrix with a False diagonal (no position is paired with itself).
+
+    Existence comes first: a greedy matching in position order, then one
+    augmenting-path search from each exposed position in order, returning
+    None at the first that has none.  Such a position stays exposed in a
+    maximum matching (Edmonds 1965), so no perfect matching exists.
 
     The least matching is extracted by fixing, for the lowest free
     position i, the smallest partner j that keeps the rest matchable.  It
@@ -147,9 +123,16 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     augmenting path joins them: each test is one search from mate[i].
     """
     nbrs = _adjacency_lists(H)
-    mate = _max_matching(nbrs, perfect=True)
-    if mate is None:
-        return None
+    mate = [-1] * len(nbrs)
+    for v in range(len(nbrs)):
+        if mate[v] == -1:
+            for to in nbrs[v]:
+                if mate[to] == -1:
+                    mate[v], mate[to] = to, v
+                    break
+    for v in range(len(nbrs)):
+        if mate[v] == -1 and not _augment(nbrs, mate, v):
+            return None
     paired: list[int] = []
     pairs: list[tuple[int, int]] = []
     for i in range(len(nbrs)):
@@ -171,69 +154,47 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     return tuple(pairs)
 
 
-def _pairing_from_positions(
-    pi: Profile, apex: int, gamma_doubled: int, matched: Iterable[tuple[int, int]]
-) -> Pairing:
-    pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
-    return Pairing(apex=apex, gamma_doubled=gamma_doubled, pairs=tuple(pairs))
-
-
 # Stands in for the excluded (i, i) products: above every real product (at
 # most 2(n-1)), so no position is ever paired with itself.
 _NO_PAIR = np.iinfo(np.int32).max
 
 
-def _apex_products(D: np.ndarray, pi: Profile) -> tuple[np.ndarray, np.ndarray]:
-    """The doubled Gromov products (pi[i]|pi[j])_v as an int32 (i, j, v)
-    tensor with the diagonal excluded, and per apex v the least doubled
-    gamma at which no position of the pairing graph is isolated."""
-    _check_profile(pi)
+def min_gamma_pairing(D: np.ndarray, pi: Profile) -> Pairing:
+    """Shallowest pairing: the least gamma (over ascending half-integers)
+    admitting an apex and a perfect matching, with the first such apex in
+    id order and its least perfect matching.
+
+    Feasibility only changes at achieved Gromov-product values, so only
+    those are probed, in ascending order; the largest product always
+    succeeds (the pairing graph is then complete at any apex).  At each
+    one, two screens run over all apexes at once before any matching: no
+    position may be isolated, and no two positions of degree 1 may share
+    their only neighbour, since a perfect matching pairs each with it.
+    Each apex that passes gets one ``perfect_matching`` call, whose
+    existence test rejects it or whose extraction is the answer.
+    """
+    if len(pi) < 2 or len(pi) % 2 != 0:
+        raise ValueError(f"profile length must be even and >= 2, got {len(pi)}")
+    # the doubled Gromov products (pi[i]|pi[j])_v as an int32 (i, j, v) tensor
     members = np.asarray(pi, dtype=np.int64)
     dv = D[members, :]  # 2k x n
     cross = D[np.ix_(members, members)]
     prod = dv[:, None, :] + dv[None, :, :] - cross[:, :, None]
     positions = np.arange(len(members))
     prod[positions, positions, :] = _NO_PAIR
-    return prod, prod.min(axis=1).max(axis=0)
-
-
-def _first_apex_pairing(
-    pi: Profile, prod: np.ndarray, need: np.ndarray, doubled: int
-) -> Pairing | None:
-    """First apex (in id order) whose pairing graph at doubled gamma
-    ``doubled`` has a perfect matching, with the least such matching.
-
-    Two screens run over all apexes at once before any matching: no
-    position may be isolated, and no two positions of degree 1 may share
-    their only neighbour, since a perfect matching pairs each with it.
-    Each apex that passes gets one ``perfect_matching`` call, whose
-    existence test rejects it or whose extraction is the answer."""
-    H = prod <= doubled
-    # int32 sums: numpy's default int64 accumulator makes the screen twice as slow
-    leaf = H.sum(axis=1, dtype=np.int32) == 1
-    shared = (leaf[:, None, :] & H).sum(axis=0, dtype=np.int32).max(axis=0) > 1
-    for v in ((need <= doubled) & ~shared).nonzero()[0].tolist():
-        matched = perfect_matching(H[:, :, v])
-        if matched is not None:
-            return _pairing_from_positions(pi, v, doubled, matched)
-    return None
-
-
-def min_gamma_pairing(D: np.ndarray, pi: Profile) -> Pairing:
-    """Shallowest pairing: the least gamma (over ascending half-integers)
-    admitting an apex and a perfect matching.
-
-    Feasibility only changes at achieved Gromov-product values, so only
-    those are probed, in ascending order; the largest product always
-    succeeds (the pairing graph is then complete at any apex).
-    """
-    prod, need = _apex_products(D, pi)
     iu = np.triu_indices(len(pi), k=1)
     achieved = np.bincount(prod[iu].ravel())  # products are >= 0
     for doubled in achieved.nonzero()[0].tolist():
-        pairing = _first_apex_pairing(pi, prod, need, doubled)
-        if pairing is not None:
-            return pairing
+        H = prod <= doubled
+        # int32 sums: numpy's default int64 accumulator makes the screen twice as slow
+        degree = H.sum(axis=1, dtype=np.int32)
+        leaf = degree == 1
+        shared = (leaf[:, None, :] & H).sum(axis=0, dtype=np.int32).max(axis=0) > 1
+        for v in ((degree.min(axis=0) > 0) & ~shared).nonzero()[0].tolist():
+            matched = perfect_matching(H[:, :, v])
+            if matched is not None:
+                pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
+                return Pairing(apex=v, gamma_doubled=doubled, pairs=tuple(pairs))
     raise AssertionError("unreachable: complete pairing graph at max product")
 
 

@@ -35,6 +35,7 @@ from kgc.rooted_cover import (
     _search_root,
     _slices,
 )
+from kgc.shallow_pairing import _augment
 
 
 def small_graph_corpus(count: int, max_n: int, seed: int, max_m: int | None = None):
@@ -193,15 +194,33 @@ def reference_best_root(g, D, k, prune=True) -> RootedSolution:
     return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
 
 
+def max_matching(adj) -> list[int]:
+    """Maximum-cardinality matching on a general graph, as mate[v] (-1 if
+    unmatched): a greedy matching in vertex-id order, then one augmenting
+    search from each exposed vertex in id order; a vertex the search fails
+    from stays exposed, and the rest are still searched."""
+    n = len(adj)
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for to in adj[v]:
+                if match[to] == -1:
+                    match[v], match[to] = to, v
+                    break
+    for v in range(n):
+        if match[v] == -1:
+            _augment(adj, match, v)
+    return match
+
+
 def reference_perfect_matching(H):
     """Reference least perfect matching: existence by a full maximum
     matching on every candidate remainder, no early exit."""
-    from kgc.shallow_pairing import _max_matching
 
     def matchable(active):
         index = {v: i for i, v in enumerate(active)}
         adj = [[index[w] for w in active if w != v and H[v, w]] for v in active]
-        return all(m != -1 for m in _max_matching(adj))
+        return all(m != -1 for m in max_matching(adj))
 
     remaining = list(range(H.shape[0]))
     if len(remaining) % 2 or not matchable(remaining):

@@ -17,6 +17,7 @@ from kgc import (
     subdivide,
 )
 from kgc.cli import main
+from kgc.solver import bound_range
 from conftest import exists_covering_rpath
 
 
@@ -523,6 +524,42 @@ def test_verify_recomputes_bounds_from_tau_hat(tmp_path, capsys):
     edits.append(_edit("bounds", to=lambda v: [v["lower"], v["upper"]]))
     edits += [_edit("bounds", "tau_source", to=t) for t in (None, str.upper, lambda v: 0)]
     _assert_each_edit_fails(tmp_path, capsys, g, 2, "bounds", edits)
+
+
+def _retau(tau, source):
+    """An edit that sets the bound report's tau and source, with lower and
+    upper recomputed from them, so only the tau itself can be wrong."""
+
+    def edit(data):
+        lower, upper = bound_range(data["rooted"]["R"], tau)
+        data["bounds"] = {"tau_hat_doubled": tau, "tau_source": source,
+                          "lower": lower, "upper": upper}
+
+    return edit
+
+
+def test_verify_recomputes_computed_tau(tmp_path, capsys):
+    # tau 16, rooted.R 1, radius 2: each other tau keeps the bounds
+    # consistent and upper >= 2, so only the recomputed tau rejects it;
+    # verify cannot check a supplied tau, so the same values pass there
+    g = random_connected(40, 50, 3)
+    for tau in (0, 2, 22):
+        code, report = _verify_tampered(tmp_path, capsys, g, 3, _retau(tau, "computed"))
+        assert code == 1 and report["bounds"]["ok"] is False
+        assert all(v["ok"] for key, v in report.items() if key not in ("ok", "bounds"))
+        code, report = _verify_tampered(tmp_path, capsys, g, 3, _retau(tau, "supplied"))
+        assert code == 0 and report["ok"] is True
+    # past the four-point cap a computed tau cannot be recomputed: exit 2
+    gpath = write_graph(tmp_path, cycle_graph(DELTA_VERTEX_CAP + 1), "c513.txt")
+    solved = tmp_path / "big.json"
+    run_cli(capsys, "solve", "-g", gpath, "-k", "2", "--tau-hat-doubled", "1024",
+            "-o", str(solved))
+    data = json.loads(solved.read_text())
+    _retau(1024, "computed")(data)
+    solved.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "verify", "-g", gpath, "--cover", str(solved),
+                             "--radius", str(data["radius"]))
+    assert code == 2 and out == "" and "cap" in err
 
 
 def test_verify_reports_recomputed_bounds(tmp_path, capsys):

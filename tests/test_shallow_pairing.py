@@ -17,7 +17,6 @@ import kgc.shallow_pairing
 from kgc.graph_core import SplitMix64, _adjacency_lists
 from kgc.rooted_cover import best_root
 from kgc.shallow_pairing import (
-    _max_matching,
     min_gamma_pairing,
     paths_of_pairing,
     perfect_matching,
@@ -26,6 +25,7 @@ from kgc.solver import build_profile
 from conftest import (
     fiber,
     gromov_product,
+    max_matching,
     pairing_distance,
     pairing_graph,
     reference_min_gamma_pairing,
@@ -209,7 +209,7 @@ def test_matching_against_exhaustive_random():
 def test_max_matching_odd_cycle_blossom():
     # C5 plus a pendant: forces blossom handling
     adj = [[1, 4], [0, 2], [1, 3], [2, 4], [0, 3, 5], [4]]
-    mate = _max_matching(adj)
+    mate = max_matching(adj)
     matched = sum(1 for x in mate if x != -1)
     assert matched == 6  # perfect: e.g. (0,1),(2,3),(4,5)
 
@@ -455,11 +455,14 @@ def test_matching_early_exit_matches_brute_force():
         for a, b in sorted(edges):
             adj[a].append(b)
             adj[b].append(a)
+        H = np.zeros((n, n), dtype=bool)
+        for a, b in edges:
+            H[a, b] = H[b, a] = True
         size = _brute_max_matching_size(n, edges)
-        mate = _max_matching(adj)
+        mate = max_matching(adj)
         assert all(mate[mate[v]] == v and mate[v] in adj[v] for v in range(n) if mate[v] != -1)
         assert sum(m != -1 for m in mate) == 2 * size
-        exists = _max_matching(adj, perfect=True) is not None
+        exists = perfect_matching(H) is not None
         assert exists == (2 * size == n)
         perfect += exists
         imperfect += not exists
@@ -526,9 +529,43 @@ def test_perfect_matching_matches_reference():
         none += expected is None
         # the least matching differs from the greedy-then-augment start
         if expected is not None:
-            start = _max_matching(_adjacency_lists(H), perfect=True)
+            start = max_matching(_adjacency_lists(H))
             least += any(start[i] != j for i, j in expected)
     assert none >= 300 and least >= 150
+
+
+def test_perfect_matching_existence_at_benchmark_sizes():
+    # 16-48 positions, up to the 2k = 48 of cyclic-wide's k = 24: odd cycles
+    # force blossoms, and isolated positions or leaves sharing their only
+    # neighbour rule a perfect matching out; existence must agree with a
+    # full maximum matching
+    rng = SplitMix64(4848)
+    found = {True: 0, False: 0}
+    for trial in range(400):
+        size = 2 * (8 + rng.below(17))
+        H = _random_position_graph(rng, size, 6 + rng.below(24))
+        order = list(range(size))
+        rng.shuffle(order)
+        for _ in range(1 + rng.below(3)):
+            cycle = order[: 3 + 2 * rng.below(6)]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                H[a, b] = H[b, a] = True
+            rng.shuffle(order)
+        plant = rng.below(4)  # 0 and 1 plant nothing
+        if plant == 2:
+            H[order[0], :] = H[:, order[0]] = False
+        elif plant == 3:
+            for leaf in order[:2]:
+                H[leaf, :] = H[:, leaf] = False
+                H[leaf, order[2]] = H[order[2], leaf] = True
+        exists = all(m != -1 for m in max_matching(_adjacency_lists(H)))
+        got = perfect_matching(H)
+        assert (got is not None) == exists
+        if got is not None:
+            assert sorted(v for pair in got for v in pair) == list(range(size))
+            assert all(H[i, j] for i, j in got)
+        found[exists] += 1
+    assert found[True] >= 100 and found[False] >= 100
 
 
 def test_min_gamma_pairing_matches_reference_past_the_leaf_screen(monkeypatch):
