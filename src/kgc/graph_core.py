@@ -531,9 +531,11 @@ def four_point_delta(D: np.ndarray) -> int:
     so trees and other block graphs of small blocks need no scan, and
     ``DELTA_VERTEX_CAP`` caps the largest block, not n.
 
-    The doubled delta is at most twice the diameter: for any quadruple it
-    is at most twice the distance of either half of its largest-sum
-    pairing.
+    The doubled delta of a quadruple is at most the smaller distance of
+    its largest-sum pairing: if S1 = d(a,b) + d(c,d) >= S2 >= S3 are the
+    three sums, then S2 >= (S2 + S3) / 2 >= max(d(a,b), d(c,d)) by the
+    triangle inequality.  So the doubled delta is at most the diameter,
+    and so at most twice it.
 
     The result is an int; its ``.doubled`` is the same int.
     """
@@ -554,10 +556,11 @@ def four_point_delta(D: np.ndarray) -> int:
 def _pair_scan_delta_doubled(dist: np.ndarray) -> int:
     """Doubled four-point delta of one distance matrix.
 
-    Brute force over quadruples, vectorized per fixed pair.  By the bound
-    in :func:`four_point_delta`, once outer pairs (scanned in decreasing
-    distance order) fall below the running maximum nothing can improve
-    and the scan stops.
+    Brute force over quadruples, vectorized per fixed pair, with pairs
+    scanned in decreasing distance.  A quadruple not scanned yet has all
+    six distances at most the current pair's, so by the bound in
+    :func:`four_point_delta` nothing can improve once that distance is at
+    most the running maximum, and the scan stops.
     """
     n = dist.shape[0]
     d = dist.astype(np.int64)
@@ -565,7 +568,7 @@ def _pair_scan_delta_doubled(dist: np.ndarray) -> int:
     pairs.sort(key=lambda t: -t[0])
     best = 0
     for dab, a, b in pairs:
-        if 2 * dab <= best:
+        if dab <= best:
             break
         p1 = dab + d
         p2 = d[a][:, None] + d[b][None, :]

@@ -146,11 +146,18 @@ class _Greedy:
         aligned with the sphere S = {c : d(v,c) = radius}, so only S gets
         alignment rows: the geodesic from b to an aligned a outside B lies
         on one geodesic from r, and its last vertex c in B, whose next
-        vertex is outside B, has d(v,c) = radius and is aligned with a."""
+        vertex is outside B, has d(v,c) = radius and is aligned with a.
+
+        The balls of B's members make up exactly v's 2R-ball: each lies in
+        it by the triangle inequality, and a vertex u with d(u,v) <= 2R is
+        within R of the vertex at distance min(R, d(u,v)) from v on a u-v
+        geodesic, which lies in B.  So the kill is the 2R-ball plus the
+        balls of the aligned vertices outside B, and only those get ball
+        rows."""
         d, n = self.d, self.n
+        dv = d[v]
+        rows, members = np.divmod(np.flatnonzero(dv == radius), n)
         near = np.zeros((v.size, self.pad), dtype=bool)
-        near[:, :n] = d[v] <= radius
-        rows, members = (d[v] == radius).nonzero()
         for part in _slices(rows.size, self.pad):
             at, b = rows[part], members[part]
             gap = dr[at]
@@ -159,12 +166,15 @@ class _Greedy:
             aligned = np.zeros((at.size, self.pad), dtype=bool)
             np.equal(gap, d[b], out=aligned[:, :n])
             _or_into(near, at, aligned)
+        near[:, :n] &= dv > radius
         bits = self.ball_bits(radius)
-        rows, members = near.nonzero()
+        rows, members = np.divmod(np.flatnonzero(near), self.pad)
         killed = np.zeros((v.size, bits.shape[1]), dtype=np.uint8)
         for part in _slices(rows.size, bits.shape[1]):
             _or_into(killed, rows[part], bits[members[part]])
-        return np.unpackbits(~killed, axis=1, count=n).view(bool)
+        alive = np.unpackbits(~killed, axis=1, count=n).view(bool)
+        alive &= dv > min(2 * radius, n)
+        return alive
 
     def run(self, roots, radius: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """One greedy run per root at (radius, k): a boolean per root, true

@@ -75,6 +75,28 @@ def naive_delta_doubled(D) -> int:
     return best
 
 
+def reference_pair_scan_delta_doubled(D) -> int:
+    """Reference four-point delta: the pair scan over the whole matrix, with
+    no split into blocks, stopping only once 2*d(a,b) is at most the
+    running maximum (the doubled delta is at most twice either distance of
+    a quadruple's largest-sum pairing)."""
+    n = len(D)
+    d = np.asarray(D, dtype=np.int64)
+    pairs = [(int(d[a, b]), a, b) for a, b in combinations(range(n), 2)]
+    pairs.sort(key=lambda t: -t[0])
+    best = 0
+    for dab, a, b in pairs:
+        if 2 * dab <= best:
+            break
+        p1 = dab + d
+        p2 = d[a][:, None] + d[b][None, :]
+        p3 = p2.T
+        mx = np.maximum(p1, np.maximum(p2, p3))
+        mn = np.minimum(p1, np.minimum(p2, p3))
+        best = max(best, int((2 * mx + mn - (p1 + p2 + p3)).max()))
+    return best
+
+
 def naive_family_eccentricity(D, paths) -> int:
     members = [v for p in paths for v in p]
     return max(min(int(D[v, x]) for x in members) for v in range(len(D)))

@@ -32,6 +32,7 @@ from conftest import (
     gromov_product,
     naive_delta_doubled,
     reference_apsp,
+    reference_pair_scan_delta_doubled,
     small_graph_corpus,
     tree_corpus,
 )
@@ -424,6 +425,30 @@ def test_four_point_delta_matches_naive():
     for g in [*small_graph_corpus(12, 10, seed=4), *_multi_block_graphs()]:
         D = apsp(g)
         assert four_point_delta(D) == naive_delta_doubled(D)
+
+
+def _clique(n: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def test_four_point_delta_matches_loose_stop_reference():
+    # the block split and the stop at d(a,b) <= best against one scan of the
+    # whole matrix that stops only at 2*d(a,b) <= best
+    corpus = [
+        *tree_corpus(3, 10, 40, seed=22),
+        *(cycle_graph(n) for n in (4, 5, 6, 7, 12, 13, 30, 31)),
+        *(grid_graph(w, 2) for w in (2, 3, 5, 8, 13, 20)),  # ladders
+        grid_graph(3, 3),
+        grid_graph(4, 5),
+        grid_graph(7, 7),
+        *(_clique(n) for n in (4, 5, 9, 16)),
+        *small_graph_corpus(12, 40, seed=23, max_m=50),  # sparse
+        *(random_connected(n, n * (n - 1) // 3, 24 + n) for n in (8, 15, 30)),  # dense
+        *_multi_block_graphs(),
+    ]
+    for g in corpus:
+        D = apsp(g)
+        assert four_point_delta(D) == reference_pair_scan_delta_doubled(D)
 
 
 def _induced_connected(g: Graph, vertices: set[int]) -> bool:

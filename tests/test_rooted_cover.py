@@ -276,17 +276,23 @@ def test_best_root_matches_reference_kernel():
 
 
 def test_survivors_match_full_ball_reference():
-    # alignment rows from the sphere d(v, c) = R only, seeded with the ball,
-    # against a row for every ball member: every root with every pick v, at
-    # every radius 1..diam and at diam + 1 > ecc(v), where the sphere is empty
-    for g in _differential_corpus():
+    # alignment rows from the sphere d(v, c) = R only, ball rows for the
+    # aligned vertices outside the ball only, and the 2R-ball killed
+    # outright, against a row for every ball member: every root with every
+    # pick v, at every radius 1..diam and at diam + 1 > ecc(v), where the
+    # sphere is empty.  At n = 64 the rows need no padding column.
+    for g in [*_differential_corpus(), random_connected(64, 76, 176)]:
         D = apsp(g)
         greedy = kgc.rooted_cover._Greedy(D)
         dr = greedy.d[np.repeat(np.arange(g.n), g.n)]
         v = np.tile(np.arange(g.n), g.n)
+        ecc = D.max(axis=1)[v]
         for radius in range(1, int(D.max()) + 2):
             expected = reference_survivors(greedy, dr, v, radius)
-            assert (greedy._survivors(dr, v, radius) == expected).all()
+            found = greedy._survivors(dr, v, radius)
+            assert (found == expected).all()
+            # the balls of v's ball members cover all of v's 2R-ball
+            assert not found[2 * radius >= ecc].any()
 
 
 def _lockstep_outcomes(g, D, radius, k):
