@@ -422,13 +422,10 @@ def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
     grow with n.
     """
     n = deg.size
-    cell = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    deg = deg.astype(cell)
-    indices = indices.astype(cell)
-    indptr = np.zeros(n + 1, dtype=cell)
+    indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
     flat = np.full(n * n, -1, dtype=np.int32)
-    frontier = np.arange(0, n * n, n + 1, dtype=cell)  # the diagonal
+    frontier = np.arange(0, n * n, n + 1, dtype=np.intp)  # the diagonal
     flat[frontier] = 0
     level = 0
     while frontier.size:
@@ -437,9 +434,9 @@ def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
         for part in _frontier_slices(frontier, n, deg):
             vertex = part % n
             counts = deg[vertex]
-            starts = indptr[vertex] - (np.cumsum(counts, dtype=cell) - counts)
+            starts = indptr[vertex] - (np.cumsum(counts) - counts)
             pos = np.repeat(starts, counts)
-            pos += np.arange(pos.size, dtype=cell)
+            pos += np.arange(pos.size)
             cells = np.repeat(part - vertex, counts) + indices[pos]
             cells = cells[flat[cells] < 0]
             # deduplicate without sorting: of the slots naming the same cell,
@@ -531,11 +528,13 @@ def four_point_delta(D: np.ndarray) -> int:
     so trees and other block graphs of small blocks need no scan, and
     ``DELTA_VERTEX_CAP`` caps the largest block, not n.
 
-    The doubled delta of a quadruple is at most the smaller distance of
-    its largest-sum pairing: if S1 = d(a,b) + d(c,d) >= S2 >= S3 are the
-    three sums, then S2 >= (S2 + S3) / 2 >= max(d(a,b), d(c,d)) by the
+    Only a quadruple's largest-sum pairing can hold its delta, and the
+    doubled delta is at most the smaller distance of that pairing: if
+    S1 = d(a,b) + d(c,d) >= S2 >= S3 are the three sums, the doubled delta
+    is S1 - S2, and S2 >= (S2 + S3) / 2 >= max(d(a,b), d(c,d)) by the
     triangle inequality.  So the doubled delta is at most the diameter,
-    and so at most twice it.
+    and so at most twice it, and :func:`_pair_scan_delta_doubled` can
+    stop once its pairs are no farther apart than the best delta found.
 
     The result is an int; its ``.doubled`` is the same int.
     """
@@ -553,31 +552,31 @@ def four_point_delta(D: np.ndarray) -> int:
     return _DoubledInt(best)
 
 
-def _pair_scan_delta_doubled(dist: np.ndarray) -> int:
-    """Doubled four-point delta of one distance matrix.
+def _pair_scan_delta_doubled(d: np.ndarray) -> int:
+    """Doubled four-point delta of one distance matrix, in its own dtype.
 
-    Brute force over quadruples, vectorized per fixed pair, with pairs
-    scanned in decreasing distance.  A quadruple not scanned yet has all
-    six distances at most the current pair's, so by the bound in
-    :func:`four_point_delta` nothing can improve once that distance is at
-    most the running maximum, and the scan stops.
+    Pairs (a, b) are scanned in decreasing distance, ties in row-major
+    order.  Against a pair, column (c, d) of one n x n array holds
+    S1 - max(S2, S3), with S1 = d(a,b) + d(c,d) and S2, S3 the quadruple's
+    other two sums.  When S1 is the largest sum this is the quadruple's
+    doubled delta; otherwise it is at most 0, and so is every degenerate
+    column (c = d, or c or d in {a, b}) by the triangle inequality.
+
+    By the bound in :func:`four_point_delta`, a quadruple whose doubled
+    delta exceeds the running maximum has both pairs of its largest-sum
+    pairing farther apart than it, so the scan reaches the first of them,
+    with the other as a column, before d(a,b) falls to the running
+    maximum, where it stops.  No sum widens: a block of at most
+    ``DELTA_VERTEX_CAP`` vertices has distances below 512, so every sum
+    fits even in int16.
     """
-    n = dist.shape[0]
-    d = dist.astype(np.int64)
-    pairs = [(int(d[a, b]), a, b) for a in range(n) for b in range(a + 1, n)]
-    pairs.sort(key=lambda t: -t[0])
+    rows, cols = np.triu_indices(len(d), 1)
+    dist = d[rows, cols]
+    order = np.argsort(-dist, kind="stable")
     best = 0
-    for dab, a, b in pairs:
+    for dab, a, b in zip(dist[order].tolist(), rows[order].tolist(), cols[order].tolist()):
         if dab <= best:
             break
-        p1 = dab + d
-        p2 = d[a][:, None] + d[b][None, :]
-        p3 = p2.T
-        mx = np.maximum(p1, np.maximum(p2, p3))
-        mn = np.minimum(p1, np.minimum(p2, p3))
-        # mx - mid, where mid is the middle sum
-        diff = int((2 * mx + mn - (p1 + p2 + p3)).max())
-        if diff > best:
-            best = diff
+        s2 = d[a][:, None] + d[b][None, :]
+        best = max(best, int((dab + d - np.maximum(s2, s2.T)).max()))
     return best
-

@@ -34,7 +34,6 @@ class SolveResult:
     rooted: RootedSolution
     pairing: Pairing
     bounds: BoundReport
-    exact: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -44,7 +43,7 @@ class SolveResult:
             "rooted": self.rooted.as_dict(),
             "pairing": {**asdict(self.pairing), "pairs": [list(p) for p in self.pairing.pairs]},
             "bounds": asdict(self.bounds),
-            "exact": self.exact,
+            "exact": False,  # a fixed key of the output contract; certifies nothing
         }
 
 

@@ -437,11 +437,11 @@ def test_four_point_delta_matches_loose_stop_reference():
     corpus = [
         *tree_corpus(3, 10, 40, seed=22),
         *(cycle_graph(n) for n in (4, 5, 6, 7, 12, 13, 30, 31)),
-        *(grid_graph(w, 2) for w in (2, 3, 5, 8, 13, 20)),  # ladders
+        *(grid_graph(w, 2) for w in (2, 3, 5, 8, 13, 20, 30, 40)),  # ladders
         grid_graph(3, 3),
         grid_graph(4, 5),
         grid_graph(7, 7),
-        *(_clique(n) for n in (4, 5, 9, 16)),
+        *(_clique(n) for n in (4, 5, 9, 16, 24)),
         *small_graph_corpus(12, 40, seed=23, max_m=50),  # sparse
         *(random_connected(n, n * (n - 1) // 3, 24 + n) for n in (8, 15, 30)),  # dense
         *_multi_block_graphs(),
@@ -449,6 +449,15 @@ def test_four_point_delta_matches_loose_stop_reference():
     for g in corpus:
         D = apsp(g)
         assert four_point_delta(D) == reference_pair_scan_delta_doubled(D)
+
+
+def test_pair_scan_needs_no_widening():
+    # a block under the cap has distances below 512, so every sum of two
+    # fits in int16 and the scan gives the same value on a two-byte copy
+    scan = graph_core._pair_scan_delta_doubled
+    for g in (cycle_graph(DELTA_VERTEX_CAP), grid_graph(20, 20)):
+        D = apsp(g)
+        assert scan(D.astype(np.int16)) == scan(D)
 
 
 def _induced_connected(g: Graph, vertices: set[int]) -> bool:

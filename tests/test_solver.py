@@ -52,7 +52,7 @@ def test_solve_spider_k1_exact():
 def test_solve_tree_examples():
     g = random_tree(20, 1)
     res = solve_tree(g, 2)
-    assert res.exact
+    assert res.radius == res.rooted.radius
     assert res.radius == exact_optimum(g, apsp(g), 2).optimum
 
     star = star_graph(4)
