@@ -113,14 +113,24 @@ class _Greedy:
     running root its farthest alive vertex (ties to the lowest id), then
     the kill rows of all of them are built at once.  Callers pass at most
     ``max_roots()`` roots, so score and kill rows stay under ``_CELLS``
-    cells, and the per-member rows of a kill are sliced to the same budget.
-    Distances are read from an int16 copy of ``D`` (half its bytes) when
-    they fit, which halves the memory traffic of the kill rows.
+    cells.  Distances are read from an int16 copy of ``D`` (half its bytes)
+    when they fit, which halves the memory traffic of the kill rows.
+
+    On a tree, and at radius 0 on any graph, a pick v kills exactly the u
+    with d(u,v) - |d(r,u) - d(r,v)| <= 2R: one distance test per vertex.
+    With c the branch point of u and v seen from r, an r-path passes
+    within R of both exactly when min(d(u,c), d(v,c)) <= R (extend it to
+    v or to u; one that branches off elsewhere is farther from one of
+    them), and that minimum is half the left side.  At radius 0 the test
+    is the alignment d(u,v) = |d(r,u) - d(r,v)| on any graph.  Only other
+    graphs take ``_survivors``, so only they build alignment rows, the
+    packed ball matrix and the per-member rows sliced to the cell budget.
     """
 
     def __init__(self, D: np.ndarray):
         self.n = len(D)
         self.d = D.astype(np.int16) if self.n < 2**15 else D
+        self.tree = np.count_nonzero(D == 1) == 2 * (self.n - 1)  # n - 1 edges
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
 
@@ -139,7 +149,8 @@ class _Greedy:
         return self._ball[1]
 
     def _survivors(self, dr: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
-        """Rows of the vertices that survive the picks ``v`` at radius > 0:
+        """Rows of the vertices that survive the picks ``v`` at radius > 0
+        on a graph that is not a tree:
         row i kills every vertex whose ball meets a vertex a aligned,
         through row i's root (distance row ``dr[i]``), with some b in v[i]'s
         ball B: d(a,b) = |d(r,a) - d(r,b)|.  That set is B plus the vertices
@@ -211,10 +222,11 @@ class _Greedy:
                 if not live.size:
                     break
                 at = np.arange(v.size)
-            if radius == 0:  # balls are single vertices: v's aligned set dies
+            if radius == 0 or self.tree:  # u dies iff d(u,v) - |d(r,u) - d(r,v)| <= 2R
                 gap = dr - dr[at, v][:, None]
                 np.abs(gap, out=gap)
-                score *= d[v] != gap
+                gap -= d[v]
+                score *= gap < -min(2 * radius, self.n)
             else:
                 score *= self._survivors(dr, v, radius)
         return covered, [tuple(p[:size].tolist()) for p, size in zip(picks, length)]
@@ -307,9 +319,11 @@ def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
     search.  Geodesics and the packing witness are built once, for the
     winning root.
 
-    Beyond ``D`` the search holds an int16 copy of it, the packed ball rows
-    of the last radius it probed (n*n/8 bytes) and temporaries under the
-    cell budget.
+    Beyond ``D`` the search holds an int16 copy of it and temporaries
+    under the cell budget.  Off trees it also holds the packed ball rows of
+    the last radius it probed (n*n/8 bytes) and slices the kill's
+    per-member rows to the budget; a tree's kill is one distance test per
+    vertex and builds neither.
     """
     check_k(g, k)
     greedy = _Greedy(D)

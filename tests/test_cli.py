@@ -16,6 +16,7 @@ from kgc import (
     star_graph,
     subdivide,
 )
+import kgc.rooted_cover
 from kgc.cli import main
 from kgc.solver import bound_range
 from conftest import exists_covering_rpath
@@ -179,6 +180,29 @@ def test_solve_large_tree_default_cap(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "3")
     assert code == 0
     assert json.loads(out)["bounds"]["tau_source"] == "computed"
+
+
+def test_tree_never_reaches_general_kernel(tmp_path, capsys, monkeypatch):
+    # on a tree every kill is the closed-form distance test: the alignment
+    # and ball rows of the general kernel are never built, in the root
+    # search nor in verify's rooted check
+    def unreachable(*args):
+        raise AssertionError("general kill kernel reached on a tree")
+
+    monkeypatch.setattr(kgc.rooted_cover._Greedy, "_survivors", unreachable)
+    monkeypatch.setattr(kgc.rooted_cover._Greedy, "ball_bits", unreachable)
+    g = random_tree(200, 19)
+    assert kgc.rooted_cover.best_root(g, apsp(g), 3).radius > 0
+    gpath = write_graph(tmp_path, g, "tree200.txt")
+    solved = str(tmp_path / "out.json")
+    code, _, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "3",
+                         "--tau-hat-doubled", "0", "-o", solved)
+    assert code == 0
+    radius = json.loads(Path(solved).read_text())["radius"]
+    code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", solved,
+                           "--radius", str(radius))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def _verify_tampered(tmp_path, capsys, g, k, edit, *solve_args):

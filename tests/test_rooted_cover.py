@@ -295,6 +295,56 @@ def test_survivors_match_full_ball_reference():
             assert not found[2 * radius >= ecc].any()
 
 
+def _caterpillar(spine: int, legs: int) -> Graph:
+    """Path of ``spine`` vertices with ``legs`` pendant leaves on each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+def test_tree_kill_matches_general_kernel():
+    # the closed-form kill d(u,v) - |d(r,u) - d(r,v)| <= 2R against the
+    # alignment and ball rows of _survivors, forced by clearing ``tree``:
+    # every root in one batch, every radius 0..n+1 and k = 1..3
+    trees = [
+        *tree_corpus(40, 3, 60, seed=191),
+        path_graph(1),
+        path_graph(2),
+        path_graph(17),
+        star_graph(9),
+        subdivide(star_graph(3), 4),  # a spider with three legs of 5
+        subdivide(star_graph(5), 2),
+        _caterpillar(8, 2),
+        _caterpillar(12, 1),
+    ]
+    for g in trees:
+        D = apsp(g)
+        fast = kgc.rooted_cover._Greedy(D)
+        general = kgc.rooted_cover._Greedy(D)
+        general.tree = False
+        assert fast.tree
+        roots = np.arange(g.n)
+        for radius in range(g.n + 2):
+            for k in range(1, min(3, g.n) + 1):
+                covered, picks = fast.run(roots, radius, k)
+                expected_covered, expected_picks = general.run(roots, radius, k)
+                assert (covered == expected_covered).all()
+                assert picks == expected_picks
+
+
+def test_tree_flag_is_false_off_trees():
+    # a cycle, a tree plus one edge (to the vertex farthest from 0, or at
+    # distance 2, closing a triangle) and grids run the general kernel
+    tree = random_tree(30, 192)
+    row = apsp(tree)[0]
+    chords = [
+        Graph.from_edges(tree.n, [*tree.edges(), (0, w)])
+        for w in (int(row.argmax()), int((row == 2).argmax()))
+    ]
+    for g in (cycle_graph(9), *chords, grid_graph(4, 3), grid_graph(2, 2)):
+        assert not kgc.rooted_cover._Greedy(apsp(g)).tree
+
+
 def _lockstep_outcomes(g, D, radius, k):
     greedy = kgc.rooted_cover._Greedy(D)
     covered, picks = greedy.run(np.arange(g.n), radius, k)

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kgc import (
@@ -181,3 +182,15 @@ def test_large_tree_solves_with_default_options():
     assert res.bounds.tau_source == "computed"
     assert res.bounds.tau_hat_doubled == 0
     assert res.radius == res.rooted.radius
+
+
+def test_k1_on_trees_matches_closed_form_optimum():
+    # beyond the oracle's reach: on a tree, D[u,x] + D[u,y] - D[x,y] is
+    # twice the distance from u to the x-y path, so the doubled k = 1
+    # optimum is the least over x, y of its largest value over u, computed
+    # one row x at a time; solve is exact on trees with tau 0
+    for n, seed in ((100, 31), (200, 32), (300, 33)):
+        g = random_tree(n, seed)
+        D = apsp(g).astype(np.int64)
+        doubled = min(int(((D[x][:, None] + D).max(axis=0) - D[x]).min()) for x in range(n))
+        assert 2 * solve(g, 1, tau_hat_doubled=0).radius == doubled
