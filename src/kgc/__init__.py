@@ -17,7 +17,6 @@ from .graph_core import (
     apsp,
     cycle_graph,
     four_point_delta,
-    generate,
     grid_graph,
     load_graph,
     path_graph,
@@ -44,7 +43,6 @@ __all__ = [
     "apsp",
     "cycle_graph",
     "four_point_delta",
-    "generate",
     "grid_graph",
     "load_graph",
     "path_graph",

@@ -66,13 +66,14 @@ def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:
     seeds = {v for p in paths for v in p}
     if not seeds:
         raise ValueError("family_eccentricity needs at least one path")
+    if not all(0 <= v < g.n for v in seeds):
+        raise ValueError("paths contain out-of-range vertices")
     dist = [-1] * g.n
     queue = deque()
     for v in sorted(seeds):
         dist[v] = 0
         queue.append(v)
-    reached = len(seeds)
-    farthest = 0
+    farthest = 0  # the graph is connected, so the search reaches every vertex
     while queue:
         u = queue.popleft()
         du = dist[u]
@@ -80,10 +81,7 @@ def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:
             if dist[x] < 0:
                 dist[x] = du + 1
                 farthest = du + 1
-                reached += 1
                 queue.append(x)
-    if reached != g.n:
-        raise ValueError("paths contain out-of-range vertices")
     return farthest
 
 

@@ -60,6 +60,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if n < 1:
             raise GraphValidationError("graph needs at least one vertex")
+        # fewer than n - 1 edges cannot connect n vertices; checked before
+        # any per-vertex list exists, so a header like "100000000 0" is cheap
+        edges = list(edges)
+        if len(edges) < n - 1:
+            raise GraphValidationError("graph is not connected")
         seen: set[tuple[int, int]] = set()
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
@@ -234,8 +239,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise GraphValidationError("tree needs n >= 1")
     if n == 1:
         return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -275,30 +278,6 @@ def random_connected(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, list(tree_edges) + extra)
 
 
-_GENERATORS = {
-    "path": lambda p: path_graph(int(p["n"])),
-    "cycle": lambda p: cycle_graph(int(p["n"])),
-    "star": lambda p: star_graph(int(p["leaves"])),
-    "grid": lambda p: grid_graph(int(p["w"]), int(p["h"])),
-    "random_tree": lambda p: random_tree(int(p["n"]), int(p.get("seed", 0))),
-    "random_connected": lambda p: random_connected(
-        int(p["n"]), int(p["m"]), int(p.get("seed", 0))
-    ),
-}
-
-
-def generate(kind: str, **params) -> Graph:
-    """Build a named graph family member; deterministic given parameters."""
-    if kind not in _GENERATORS:
-        raise GraphValidationError(
-            f"unknown family {kind!r}; choose from {sorted(_GENERATORS)}"
-        )
-    try:
-        return _GENERATORS[kind](params)
-    except KeyError as exc:
-        raise GraphValidationError(f"family {kind!r} missing parameter {exc}") from exc
-
-
 def subdivide(g: Graph, length: int) -> Graph:
     """Replace every edge by a path of ``length`` edges.
 
@@ -308,8 +287,6 @@ def subdivide(g: Graph, length: int) -> Graph:
     """
     if length < 1:
         raise GraphValidationError("subdivision length must be >= 1")
-    if length == 1:
-        return Graph.from_edges(g.n, list(g.edges()))
     edges = []
     nxt = g.n
     for u, v in g.edges():

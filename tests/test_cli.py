@@ -7,6 +7,7 @@ from kgc import (
     DELTA_VERTEX_CAP,
     apsp,
     cycle_graph,
+    grid_graph,
     load_graph,
     path_graph,
     random_connected,
@@ -631,6 +632,22 @@ def test_gen_subdivide(tmp_path, capsys):
     assert code == 0
     g = load_graph(Path(gpath).read_text())
     assert g.n == 6 and g.m == 6
+
+
+def test_gen_dispatch(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    for argv, expected in (
+        (["--type", "grid", "--w", "3", "--h", "3"], grid_graph(3, 3)),
+        (["--type", "random_tree", "--n", "9", "--seed", "2"], random_tree(9, 2)),
+    ):
+        code, _, _ = run_cli(capsys, "gen", *argv, "-o", str(gpath))
+        assert code == 0
+        assert gpath.read_text() == serialize_graph(expected)
+    code, _, _ = run_cli(capsys, "gen", "--type", "moebius", "--n", "5")
+    assert code == 1
+    code, out, err = run_cli(capsys, "gen", "--type", "grid", "--w", "3")
+    assert code == 1 and out == ""
+    assert "--h" in err
 
 
 def test_gen_infeasible(tmp_path, capsys):

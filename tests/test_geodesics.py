@@ -145,6 +145,13 @@ def test_family_eccentricity_rejects_empty():
         family_eccentricity(path_graph(3), [])
 
 
+def test_family_eccentricity_rejects_out_of_range_vertices():
+    # -1 must not be read as the last vertex, nor n raise IndexError
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match="out-of-range"):
+            family_eccentricity(path_graph(5), [(bad,)])
+
+
 def test_enumerate_geodesics_counts():
     p5 = path_graph(5)
     assert len(enumerate_geodesics(p5, apsp(p5), 0, 4)) == 1

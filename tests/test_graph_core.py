@@ -14,7 +14,6 @@ from kgc import (
     apsp,
     cycle_graph,
     four_point_delta,
-    generate,
     grid_graph,
     load_graph,
     path_graph,
@@ -64,6 +63,18 @@ def test_load_graph_duplicate_edge():
 def test_load_graph_disconnected():
     with pytest.raises(GraphValidationError, match="connected"):
         load_graph("4 2\n0 1\n2 3")
+
+
+def test_load_graph_too_few_edges_fails_before_allocating():
+    # a 12-byte file must not build 10^8 adjacency lists to find out
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphValidationError, match="connected"):
+            load_graph("100000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_graph_loop():
@@ -132,15 +143,6 @@ def test_random_connected_infeasible():
         random_connected(5, 3, seed=0)
     with pytest.raises(GraphValidationError):
         random_connected(4, 7, seed=0)
-
-
-def test_generate_dispatch():
-    assert generate("grid", w=3, h=3) == grid_graph(3, 3)
-    assert generate("random_tree", n=9, seed=2) == random_tree(9, 2)
-    with pytest.raises(GraphValidationError):
-        generate("moebius", n=5)
-    with pytest.raises(GraphValidationError):
-        generate("grid", w=3)
 
 
 def test_splitmix_determinism():

@@ -34,7 +34,6 @@ PUBLIC = [
     "exact_optimum",
     "family_eccentricity",
     "four_point_delta",
-    "generate",
     "grid_graph",
     "is_isometric",
     "load_graph",

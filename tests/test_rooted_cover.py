@@ -345,6 +345,30 @@ def test_tree_flag_is_false_off_trees():
         assert not kgc.rooted_cover._Greedy(apsp(g)).tree
 
 
+def test_greedy_reads_int32_distances_in_place():
+    # from n = 2^15 on, _Greedy reads D as given (int32) instead of an
+    # int16 copy; force that branch on small graphs, tree and general kill
+    graphs = [
+        *tree_corpus(8, 3, 40, seed=193),
+        *small_graph_corpus(10, 30, seed=194, max_m=45),
+        grid_graph(4, 3),
+        cycle_graph(11),
+    ]
+    for g in graphs:
+        D = apsp(g)
+        copied = kgc.rooted_cover._Greedy(D)
+        in_place = kgc.rooted_cover._Greedy(D)
+        in_place.d = D
+        assert copied.d.dtype == np.int16 and in_place.d.dtype == np.int32
+        roots = np.arange(g.n)
+        for radius in range(g.n + 2):
+            for k in range(1, min(3, g.n) + 1):
+                covered, picks = in_place.run(roots, radius, k)
+                expected_covered, expected_picks = copied.run(roots, radius, k)
+                assert (covered == expected_covered).all()
+                assert picks == expected_picks
+
+
 def _lockstep_outcomes(g, D, radius, k):
     greedy = kgc.rooted_cover._Greedy(D)
     covered, picks = greedy.run(np.arange(g.n), radius, k)

@@ -10,6 +10,7 @@ import pytest
 from kgc import (
     DELTA_VERTEX_CAP,
     apsp,
+    cycle_graph,
     exact_optimum,
     family_eccentricity,
     four_point_delta,
@@ -194,3 +195,16 @@ def test_k1_on_trees_matches_closed_form_optimum():
         D = apsp(g).astype(np.int64)
         doubled = min(int(((D[x][:, None] + D).max(axis=0) - D[x]).min()) for x in range(n))
         assert 2 * solve(g, 1, tau_hat_doubled=0).radius == doubled
+
+
+def test_k1_on_cycles_within_bounds_of_closed_form_optimum():
+    # on an n-cycle one geodesic of ceil(n/2) - 1 hops covers best, so the
+    # k = 1 optimum is ceil((ceil(n/2) - 1) / 2) = (n + 1) // 4: pinned
+    # against the oracle on small cycles, then bracketed by the bound
+    # report beyond its reach
+    for n in range(3, 15):
+        g = cycle_graph(n)
+        assert exact_optimum(g, apsp(g), 1).optimum == (n + 1) // 4
+    for n in (101, 150, 300, 512):
+        res = solve(cycle_graph(n), 1)
+        assert res.bounds.lower <= (n + 1) // 4 <= res.radius <= res.bounds.upper
