@@ -98,6 +98,12 @@ def cmd_gen(args) -> int:
     for flag in flags:
         if getattr(args, flag) is None:
             raise GraphValidationError(f"family {args.type!r} missing parameter --{flag}")
+    # a flag is set when it differs from its default; every family reads
+    # --subdivide, and --seed 0 is the default
+    defaults = vars(build_parser().parse_args(["gen", "--type", args.type]))
+    for flag, value in vars(args).items():
+        if value != defaults[flag] and flag not in (*flags, "subdivide", "output"):
+            raise GraphValidationError(f"family {args.type!r} does not read --{flag}")
     g = make(*(getattr(args, flag) for flag in flags))
     if args.subdivide is not None:
         g = subdivide(g, args.subdivide)

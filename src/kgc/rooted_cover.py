@@ -21,11 +21,24 @@ best root overall.
 One kernel, ``_Greedy``, runs the greedy from one root or from many in
 lockstep; ``best_root`` uses the batch to refute the roots that cannot
 beat the incumbent, and the one-root call for every binary search.
+
+Where the greedy's outcome follows from a count, ``best_root`` counts
+instead of running it.  Call the r-height h_r(u) of a vertex u the
+largest d(u, w) over the w with u on a geodesic from r to w, w = u
+included.  On a tree the greedy from r at radius R covers exactly when
+at most 2k-1 vertices have h_r(u) = R: the vertices of r-height >= R
+form the least subtree at r whose R-neighbourhood is every vertex, its
+leaves are the vertices of height exactly R, every family of r-paths
+that covers at R ends in each of them, and each farthest-first pick
+kills exactly what its own path covers.  At R = 0 the same holds on any
+graph, where the picks are exactly the vertices with no neighbour
+farther from r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -113,8 +126,9 @@ class _Greedy:
     running root its farthest alive vertex (ties to the lowest id), then
     the kill rows of all of them are built at once.  Callers pass at most
     ``max_roots()`` roots, so score and kill rows stay under ``_CELLS``
-    cells.  Distances are read from an int16 copy of ``D`` (half its bytes)
-    when they fit, which halves the memory traffic of the kill rows.
+    cells.  Off trees, distances are read from an int16 copy of ``D`` (half
+    its bytes) when they fit, which halves the memory traffic of the kill
+    rows; a tree's runs are one root of at most 2k steps, so it reads ``D``.
 
     On a tree, and at radius 0 on any graph, a pick v kills exactly the u
     with d(u,v) - |d(r,u) - d(r,v)| <= 2R: one distance test per vertex.
@@ -125,12 +139,13 @@ class _Greedy:
     is the alignment d(u,v) = |d(r,u) - d(r,v)| on any graph.  Only other
     graphs take ``_survivors``, so only they build alignment rows, the
     packed ball matrix and the per-member rows sliced to the cell budget.
+    The caller says whether the graph is a ``tree``.
     """
 
-    def __init__(self, D: np.ndarray):
+    def __init__(self, D: np.ndarray, tree: bool):
         self.n = len(D)
-        self.d = D.astype(np.int16) if self.n < 2**15 else D
-        self.tree = np.count_nonzero(D == 1) == 2 * (self.n - 1)  # n - 1 edges
+        self.tree = tree
+        self.d = D if tree or self.n >= 2**15 else D.astype(np.int16)
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
 
@@ -250,7 +265,7 @@ def cover_or_packing(g: Graph, D: np.ndarray, r: int, radius: int, k: int) -> Ro
     check_k(g, k)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    covered, picks = _Greedy(D).run([r], radius, k)
+    covered, picks = _Greedy(D, g.is_tree()).run([r], radius, k)
     return _outcome(g, D, r, bool(covered[0]), picks[0])
 
 
@@ -292,6 +307,96 @@ def _search_root(greedy: _Greedy, r: int, k: int, hi: int, picks: tuple[int, ...
     return hi, picks, packing
 
 
+def _neighbour_runs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every neighbour list, end to end in vertex order, and where each
+    vertex's run starts."""
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
+    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
+    return nbr, np.cumsum(deg) - deg
+
+
+def _radius0_picks(g: Graph, d: np.ndarray, roots) -> np.ndarray:
+    """The greedy's picks at radius 0 from each root, on a graph of at least
+    two vertices: the vertices with no neighbour farther from the root.
+    Distance rows come from ``d``, ``D`` or its int16 copy."""
+    nbr, starts = _neighbour_runs(g)
+    counts = np.empty(len(roots), dtype=np.intp)
+    for part in _slices(len(roots), nbr.size):
+        rows = d[roots[part]]
+        farthest = np.maximum.reduceat(rows[:, nbr], starts, axis=1)
+        counts[part] = np.count_nonzero(farthest <= rows, axis=1)
+    return counts
+
+
+def _tree_picks(g: Graph, D: np.ndarray):
+    """On a tree: the tree's radius, and a function that maps a radius R to
+    every root r's count of vertices of r-height R (module docstring).
+    The greedy from r at R makes that many picks, or one when there are
+    none, so it covers when the count is at most 2k - 1.
+
+    Let a1(u) be u's neighbour of least eccentricity, ties to the lowest
+    id (u itself when n = 1).  That is u's first step towards every
+    farthest vertex, except at the centre of a tree of even diameter,
+    where two branches reach ecc(u) whichever a1 is.  So h_r(u) is ecc(u),
+    except that it is top2(u), the largest d(u, w) over the w not behind
+    a1(u), when r is behind a1(u), that is when d(a1(u), r) < d(u, r).
+    Every edge joins some u to a1(u), and only the edge at the centre
+    does so both ways; with that edge cut, a1 is the parent in a forest,
+    u's descendants are exactly the vertices not behind a1(u), and top2(u)
+    is the height of u's subtree.  So h_r(u) is ecc(u) for the u on r's
+    path up the forest and top2(u) elsewhere, and each count is a sum
+    along that path, taken for all roots at once by pointer doubling.
+    ``D`` is read once, for the eccentricities.
+    """
+    n = g.n
+    ecc = np.empty(n, dtype=np.intp)
+    for part in _slices(n, n):
+        ecc[part] = D[part].max(axis=1)
+    nbr, starts = _neighbour_runs(g)
+    a1 = np.arange(n)
+    if n > 1:
+        a1 = np.minimum.reduceat(ecc[nbr] * n + nbr, starts) % n
+    parent = np.append(np.where(a1[a1] == np.arange(n), n, a1), n)  # n: no parent
+    height = [0] * (n + 1)
+    up = parent.tolist()
+    for u in np.argsort(-ecc, kind="stable").tolist():  # a parent's ecc is one less
+        height[up[u]] = max(height[up[u]], height[u] + 1)
+    top2 = np.array(height[:n])
+    jumps = []  # parent, grandparent, 4th ancestor, ...
+    while (parent < n).any():
+        jumps.append(parent)
+        parent = parent[parent]
+
+    def count(radius: int) -> np.ndarray:
+        path = np.append((ecc == radius).astype(np.intp) - (top2 == radius), 0)
+        for jump in jumps:
+            path += path[jump]
+        return np.count_nonzero(top2 == radius) + path[:n]
+
+    return int(ecc.min()), count
+
+
+def _tree_root(g: Graph, D: np.ndarray, k: int) -> tuple[int, int]:
+    """On a tree: the least radius at which the greedy covers from some
+    root, and the lowest such root.
+
+    The counts never rise as R grows (a leaf of the subtree of r-heights
+    >= R + 1 has a leaf of the larger subtree below it), so the least R is
+    binary-searched between 0 and the tree's radius, where a centre's
+    count is 1.  So the greedy is monotone in R on trees, and this is the
+    root and radius that probing every root finds; no root covers at
+    R - 1, where the winner's run gives the packing witness.
+    """
+    lo, (hi, count) = -1, _tree_picks(g, D)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (count(mid) < 2 * k).any():
+            hi = mid
+        else:
+            lo = mid
+    return int((count(hi) < 2 * k).argmax()), hi
+
+
 def _rooted_solution(
     g: Graph, D: np.ndarray, root: int, radius: int, picks, packing
 ) -> RootedSolution:
@@ -307,29 +412,39 @@ def _rooted_solution(
 def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
 
-    Roots are probed once at one below the incumbent radius: a packing
-    there means the root cannot beat the incumbent (a tie loses to the
-    lower id).  The incumbent starts at n + 1, so the first probe is at
+    On a tree the root and radius come from counting (``_tree_root``), and
+    the greedy runs twice from that root: at the radius for the cover and
+    one below it for the packing witness.
+
+    Off trees, roots are probed once at one below the incumbent radius: a
+    packing there means the root cannot beat the incumbent (a tie loses to
+    the lower id).  The incumbent starts at n + 1, so the first probe is at
     radius n, where every root covers.  Probes run in lockstep, in chunks
     of consecutive roots that start at ``_FIRST_CHUNK`` and double up to
     the cell budget.  The lowest covering root of a chunk finishes its own
     binary search from that cover and becomes the incumbent; the roots
     after it are probed again at the new radius, and the chunk size
-    resets.  This is the result and the probe order of a one-root-at-a-time
-    search.  Geodesics and the packing witness are built once, for the
-    winning root.
+    resets.  Once the incumbent is 1, the remaining roots are decided by
+    counting their picks at radius 0 (``_radius0_picks``), and the greedy
+    runs once, for the first root that covers.  This is the result of a
+    one-root-at-a-time search.  Geodesics and the packing witness are built
+    once, for the winning root.
 
-    Beyond ``D`` the search holds an int16 copy of it and temporaries
-    under the cell budget.  Off trees it also holds the packed ball rows of
-    the last radius it probed (n*n/8 bytes) and slices the kill's
-    per-member rows to the budget; a tree's kill is one distance test per
-    vertex and builds neither.
+    On a tree the search holds a few arrays of n entries beyond ``D``.  Off
+    trees it holds an int16 copy of ``D``, temporaries under the cell
+    budget and the packed ball rows of the last radius it probed (n*n/8
+    bytes).
     """
     check_k(g, k)
-    greedy = _Greedy(D)
+    greedy = _Greedy(D, g.is_tree())
+    if greedy.tree:
+        root, radius = _tree_root(g, D, k)
+        _, picks = greedy.run([root], radius, k)
+        packing = greedy.run([root], radius - 1, k)[1][0] if radius else None
+        return _rooted_solution(g, D, root, radius, picks[0], packing)
     incumbent = g.n + 1
     r, size = 0, min(_FIRST_CHUNK, greedy.max_roots())
-    while r < g.n and incumbent > 0:
+    while r < g.n and incumbent > 1:
         roots = np.arange(r, min(g.n, r + size))
         covered, picks = greedy.run(roots, incumbent - 1, k)
         hits = covered.nonzero()[0]
@@ -339,4 +454,10 @@ def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
         root = r + int(hits[0])
         incumbent, cover, packing = _search_root(greedy, root, k, incumbent - 1, picks[hits[0]])
         r, size = root + 1, min(_FIRST_CHUNK, greedy.max_roots())
+    if incumbent == 1:
+        counts = _radius0_picks(g, greedy.d, np.arange(r, g.n))
+        hits = (counts < 2 * k).nonzero()[0]
+        if hits.size:
+            root = r + int(hits[0])
+            incumbent, cover, packing = 0, greedy.run([root], 0, k)[1][0], None
     return _rooted_solution(g, D, root, incumbent, cover, packing)

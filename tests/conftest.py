@@ -380,14 +380,14 @@ def pairing_distance(D: np.ndarray, pairing) -> int:
 def scan_root(g: Graph, D: np.ndarray, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Greedy outcome (cover?) from root r at each radius 0..upto (default n)."""
     limit = g.n if upto is None else upto
-    greedy = _Greedy(D)
+    greedy = _Greedy(D, g.is_tree())
     return [bool(greedy.run([r], radius, k)[0][0]) for radius in range(limit + 1)]
 
 
 def min_radius_for_root(g: Graph, D: np.ndarray, r: int, k: int):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    greedy = _Greedy(D)
+    greedy = _Greedy(D, g.is_tree())
     _, picks = greedy.run([r], g.n, k)  # radius n covers
     found = _rooted_solution(g, D, r, *_search_root(greedy, r, k, g.n, picks[0]))
     return found.radius, found.cover, found.packing_witness

@@ -648,6 +648,20 @@ def test_gen_dispatch(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gen", "--type", "grid", "--w", "3")
     assert code == 1 and out == ""
     assert "--h" in err
+    # a flag the family does not read exits 1 and is named, the first one
+    # first; --seed 0 is the default and --subdivide every family reads
+    code, out, err = run_cli(capsys, "gen", "--type", "path", "--n", "5", "--m", "9", "--w", "3")
+    assert code == 1 and out == ""
+    assert "--m" in err and "--w" not in err
+    for argv, expected in (
+        (["--type", "grid", "--w", "2", "--h", "3", "--seed", "0"], grid_graph(2, 3)),
+        (["--type", "star", "--leaves", "3", "--subdivide", "2"], subdivide(star_graph(3), 2)),
+    ):
+        code, _, _ = run_cli(capsys, "gen", *argv, "-o", str(gpath))
+        assert code == 0
+        assert gpath.read_text() == serialize_graph(expected)
+    code, _, err = run_cli(capsys, "gen", "--type", "grid", "--w", "2", "--h", "3", "--seed", "4")
+    assert code == 1 and "--seed" in err
 
 
 def test_gen_infeasible(tmp_path, capsys):

@@ -283,7 +283,7 @@ def test_survivors_match_full_ball_reference():
     # sphere is empty.  At n = 64 the rows need no padding column.
     for g in [*_differential_corpus(), random_connected(64, 76, 176)]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D)
+        greedy = kgc.rooted_cover._Greedy(D, False)
         dr = greedy.d[np.repeat(np.arange(g.n), g.n)]
         v = np.tile(np.arange(g.n), g.n)
         ecc = D.max(axis=1)[v]
@@ -304,7 +304,7 @@ def _caterpillar(spine: int, legs: int) -> Graph:
 
 def test_tree_kill_matches_general_kernel():
     # the closed-form kill d(u,v) - |d(r,u) - d(r,v)| <= 2R against the
-    # alignment and ball rows of _survivors, forced by clearing ``tree``:
+    # alignment and ball rows of _survivors, forced by passing tree=False:
     # every root in one batch, every radius 0..n+1 and k = 1..3
     trees = [
         *tree_corpus(40, 3, 60, seed=191),
@@ -319,10 +319,8 @@ def test_tree_kill_matches_general_kernel():
     ]
     for g in trees:
         D = apsp(g)
-        fast = kgc.rooted_cover._Greedy(D)
-        general = kgc.rooted_cover._Greedy(D)
-        general.tree = False
-        assert fast.tree
+        fast = kgc.rooted_cover._Greedy(D, True)
+        general = kgc.rooted_cover._Greedy(D, False)
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
@@ -332,9 +330,18 @@ def test_tree_kill_matches_general_kernel():
                 assert picks == expected_picks
 
 
-def test_tree_flag_is_false_off_trees():
+def test_tree_flag_is_false_off_trees(monkeypatch):
     # a cycle, a tree plus one edge (to the vertex farthest from 0, or at
-    # distance 2, closing a triangle) and grids run the general kernel
+    # distance 2, closing a triangle) and grids run the general kernel:
+    # best_root and cover_or_packing take the flag from the graph
+    flags = []
+    init = kgc.rooted_cover._Greedy.__init__
+
+    def spy(self, D, tree):
+        flags.append(tree)
+        init(self, D, tree)
+
+    monkeypatch.setattr(kgc.rooted_cover._Greedy, "__init__", spy)
     tree = random_tree(30, 192)
     row = apsp(tree)[0]
     chords = [
@@ -342,12 +349,17 @@ def test_tree_flag_is_false_off_trees():
         for w in (int(row.argmax()), int((row == 2).argmax()))
     ]
     for g in (cycle_graph(9), *chords, grid_graph(4, 3), grid_graph(2, 2)):
-        assert not kgc.rooted_cover._Greedy(apsp(g)).tree
+        D = apsp(g)
+        best_root(g, D, 1)
+        cover_or_packing(g, D, 0, 1, 1)
+    best_root(tree, apsp(tree), 1)
+    assert flags == [False] * 10 + [True]
 
 
 def test_greedy_reads_int32_distances_in_place():
-    # from n = 2^15 on, _Greedy reads D as given (int32) instead of an
-    # int16 copy; force that branch on small graphs, tree and general kill
+    # from n = 2^15 on, and on every tree, _Greedy reads D as given (int32)
+    # instead of an int16 copy; force both sides on small graphs, tree and
+    # general kill
     graphs = [
         *tree_corpus(8, 3, 40, seed=193),
         *small_graph_corpus(10, 30, seed=194, max_m=45),
@@ -356,8 +368,9 @@ def test_greedy_reads_int32_distances_in_place():
     ]
     for g in graphs:
         D = apsp(g)
-        copied = kgc.rooted_cover._Greedy(D)
-        in_place = kgc.rooted_cover._Greedy(D)
+        copied = kgc.rooted_cover._Greedy(D, g.is_tree())
+        copied.d = D.astype(np.int16)
+        in_place = kgc.rooted_cover._Greedy(D, g.is_tree())
         in_place.d = D
         assert copied.d.dtype == np.int16 and in_place.d.dtype == np.int32
         roots = np.arange(g.n)
@@ -369,8 +382,109 @@ def test_greedy_reads_int32_distances_in_place():
                 assert picks == expected_picks
 
 
+def _tree_shapes():
+    return [
+        path_graph(1),
+        path_graph(2),
+        path_graph(50),
+        star_graph(9),
+        subdivide(star_graph(3), 4),  # spiders
+        subdivide(star_graph(5), 2),
+        subdivide(star_graph(4), 7),
+        _caterpillar(8, 2),
+        _caterpillar(12, 1),
+        _caterpillar(5, 4),
+    ]
+
+
+def test_tree_picks_decide_the_greedy():
+    # the lemma: from every root r of a tree, at every radius R, the greedy
+    # makes one pick per vertex of r-height R (one pick where none is), so
+    # it covers exactly when at most 2k - 1 vertices have r-height R
+    for g in [*tree_corpus(40, 1, 60, seed=195), *_tree_shapes()]:
+        D = apsp(g)
+        greedy = kgc.rooted_cover._Greedy(D, True)
+        radius, count = kgc.rooted_cover._tree_picks(g, D)
+        assert radius == D.max(axis=1).min()
+        for R in range(g.n + 2):
+            counts = count(R)
+            for k in range(1, min(3, g.n) + 1):
+                covered, found = greedy.run(np.arange(g.n), R, k)
+                assert (covered == (counts < 2 * k)).all()
+                for r in covered.nonzero()[0]:
+                    assert len(found[r]) == max(counts[r], 1)
+
+
+def test_tree_best_root_matches_reference():
+    # the counted root search against one root at a time over the
+    # full-matrix greedy: 320 random trees of 1-120 vertices (most of them
+    # small, for time), paths, a star, spiders and caterpillars, k = 1..5
+    trees = [
+        *tree_corpus(300, 1, 40, seed=196),
+        *tree_corpus(20, 41, 120, seed=197),
+        *_tree_shapes(),
+    ]
+    for g in trees:
+        D = apsp(g)
+        for k in range(1, min(5, g.n) + 1):
+            assert best_root(g, D, k) == reference_best_root(g, D, k)
+
+
+def test_radius0_picks_decide_the_greedy():
+    # at radius 0 on any graph the picks are the vertices with no neighbour
+    # farther from the root: every root of non-trees, k up to n/2
+    graphs = [g for g in _differential_corpus() if not g.is_tree()]
+    graphs += [g for g in small_graph_corpus(30, 25, seed=198) if not g.is_tree()]
+    for g in graphs:
+        D = apsp(g)
+        greedy = kgc.rooted_cover._Greedy(D, False)
+        roots = np.arange(g.n)
+        counts = kgc.rooted_cover._radius0_picks(g, greedy.d, roots)
+        for k in range(1, g.n // 2 + 1):
+            covered, found = greedy.run(roots, 0, k)
+            assert (covered == (counts < 2 * k)).all()
+            for r in covered.nonzero()[0]:
+                assert len(found[r]) == counts[r]
+
+
+def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
+    # trees make at most two one-root runs (the cover and the witness), and
+    # off trees no lockstep run happens at radius 0, where roots are counted
+    calls, counted = [], []
+    run = kgc.rooted_cover._Greedy.run
+    radius0_picks = kgc.rooted_cover._radius0_picks
+
+    def spy(self, roots, radius, k):
+        calls.append((len(roots), radius))
+        return run(self, roots, radius, k)
+
+    monkeypatch.setattr(kgc.rooted_cover._Greedy, "run", spy)
+    monkeypatch.setattr(
+        kgc.rooted_cover, "_radius0_picks", lambda *a: counted.append(a) or radius0_picks(*a)
+    )
+    for g in [*tree_corpus(20, 1, 80, seed=199), *_tree_shapes()]:
+        D = apsp(g)
+        for k in (1, 2, 3):
+            calls.clear()
+            sol = best_root(g, D, min(k, g.n))
+            assert len(calls) <= 2 and all(size == 1 for size, _ in calls)
+            assert calls[0] == (1, sol.radius)
+    decided_at_0 = 0
+    for g in [*small_graph_corpus(30, 30, seed=200), grid_graph(4, 4), cycle_graph(10)]:
+        if g.is_tree():
+            continue
+        D = apsp(g)
+        for k in (1, 2, 4, g.n // 2):
+            calls.clear()
+            counted.clear()
+            sol = best_root(g, D, k)
+            assert not any(size > 1 and radius == 0 for size, radius in calls)
+            decided_at_0 += sol.radius == 0 and calls[-1] == (1, 0) and bool(counted)
+    assert decided_at_0 >= 10
+
+
 def _lockstep_outcomes(g, D, radius, k):
-    greedy = kgc.rooted_cover._Greedy(D)
+    greedy = kgc.rooted_cover._Greedy(D, g.is_tree())
     covered, picks = greedy.run(np.arange(g.n), radius, k)
     return [
         kgc.rooted_cover._outcome(g, D, r, bool(covered[r]), picks[r]) for r in range(g.n)
@@ -421,7 +535,7 @@ def test_ball_bits_keep_the_last_radius(monkeypatch):
     # so radius 38, asked for again after 39, is built a second time
     g = path_graph(40)
     D = apsp(g)
-    greedy = kgc.rooted_cover._Greedy(D)
+    greedy = kgc.rooted_cover._Greedy(D, False)
     builds = []
     slices = kgc.rooted_cover._slices
     monkeypatch.setattr(
@@ -439,7 +553,7 @@ def test_ball_bits_keep_the_last_radius(monkeypatch):
 def test_best_root_covers_mid_chunk(monkeypatch):
     # graphs whose incumbent improves at least twice after root 0, once from
     # a root inside a lockstep chunk: the roots after it are probed again
-    # at the new radius
+    # at the new radius (trees take no lockstep chunks)
     calls = []
     run = kgc.rooted_cover._Greedy.run
 
@@ -455,7 +569,6 @@ def test_best_root_covers_mid_chunk(monkeypatch):
         (random_connected(40, 48, 7), 2),
         (random_connected(60, 70, 19), 1),
         (random_connected(40, 48, 36), 1),
-        (random_tree(40, 16), 1),
     ):
         D = apsp(g)
         calls.clear()
@@ -465,16 +578,18 @@ def test_best_root_covers_mid_chunk(monkeypatch):
 
 
 def test_best_root_allocates_no_square_matrices():
-    # per-root or per-radius n x n temporaries would push the peak past D
-    g = random_tree(700, 3)
-    D = apsp(g)
-    tracemalloc.start()
-    try:
-        best_root(g, D, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * D.nbytes
+    # per-root or per-radius n x n temporaries would push the peak past D;
+    # a tree keeps no int16 copy and no D == 1 scan, only arrays of n
+    # entries and the two one-root greedy runs
+    for g, bound in ((random_tree(700, 3), 0.1), (random_connected(400, 480, 3), 3.5)):
+        D = apsp(g)
+        tracemalloc.start()
+        try:
+            best_root(g, D, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * D.nbytes
 
 
 def test_verify_packing_matches_pairwise_reference():
