@@ -29,10 +29,17 @@ from .graph_core import (
     serialize_graph,
     star_graph,
     subdivide,
+    tree_rows,
 )
 from .geodesics import family_eccentricity, is_isometric
 from .oracle import OracleCaps, exact_optimum
-from .rooted_cover import RootedSolution, cover_or_packing, verify_packing
+from .rooted_cover import (
+    RootedSolution,
+    greedy_outcome,
+    tree_radius_is_least,
+    verify_packing,
+    verify_tree_packing,
+)
 from .solver import bound_range, build_profile, solve
 
 EXIT_OK = 0
@@ -70,9 +77,9 @@ def _emit_json(payload, out: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = _read_graph(args.graph)
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
+    g = _read_graph(args.graph)
     result = solve(g, args.k, tau_hat_doubled=args.tau_hat_doubled)
     _emit_json(result.as_dict(), args.output)
     return EXIT_OK
@@ -88,7 +95,8 @@ def cmd_exact(args) -> int:
 
 def cmd_delta(args) -> int:
     g = _read_graph(args.graph)
-    delta_doubled = four_point_delta(apsp(g))
+    # every block of a tree is a bridge, and blocks of fewer than 4 vertices add 0
+    delta_doubled = 0 if g.is_tree() else four_point_delta(apsp(g))
     _emit_json({"delta_doubled": delta_doubled}, args.output)
     return EXIT_OK
 
@@ -126,9 +134,16 @@ def _field(obj, key: str):
     return obj.get(key) if isinstance(obj, dict) else None
 
 
+def _max_product(rows, pairs, apex: int) -> int:
+    """The largest doubled Gromov product (x|y)_apex over the pairs, from
+    the rows of the apex and of each pair's first vertex."""
+    at_apex = rows([apex])[0]
+    firsts = rows([x for x, _ in pairs])
+    return max(int(at_apex[x]) + int(at_apex[y]) - int(d[y]) for (x, y), d in zip(pairs, firsts))
+
+
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph)
-    D = apsp(g)
     with open(args.cover, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -144,13 +159,30 @@ def cmd_verify(args) -> int:
         raise ValueError(f"artifact k must be an integer in [1, {g.n}], got {k!r}")
     report: dict = {}
 
+    # a tree's distances come row by row from its index, with no matrix
+    tree = g.is_tree()
+    D = None if tree else apsp(g)
+    rows = tree_rows(g) if tree else D.__getitem__
+
+    def geodesic(p) -> bool:
+        """``is_isometric``; on a tree, where the one path between two
+        vertices is their geodesic, a walk along edges of ``g`` that
+        repeats no vertex."""
+        if not tree:
+            return is_isometric(D, p)
+        return (
+            len(p) > 0
+            and len(set(p)) == len(p)
+            and all(b in g.adjacency[a] for a, b in zip(p, p[1:]))
+        )
+
     # a malformed field fails its check instead of raising: paths must be
     # lists of vertex ids, the root and the witness members vertex ids, and
     # the radii integers
     count = len(paths) if isinstance(paths, list) else None
     shaped = count is not None and all(_is_vertex_list(p, g.n) for p in paths)
     within_k = count is not None and count <= k
-    isometric = shaped and all(is_isometric(D, p) for p in paths)
+    isometric = shaped and all(geodesic(p) for p in paths)
     ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
     # the artifact's own radius (a solve's radius or an exact optimum) must
     # equal the paths' eccentricity, which --radius only bounds
@@ -179,7 +211,9 @@ def cmd_verify(args) -> int:
     if rooted is not None:
         # the rooted cover: at most 2k-1 geodesics, each out of the root, and
         # the very cover the greedy returns from the root at rooted.R, so a
-        # lowered rooted.R fails even with tau supplied
+        # lowered rooted.R fails even with tau supplied; on a tree, no root
+        # covers at rooted.R - 1 either, so rooted.R is the least rooted
+        # radius and bounds.lower holds
         rooted_cover = _field(rooted, "cover")
         count = len(rooted_cover) if isinstance(rooted_cover, list) else None
         rooted_ok = (
@@ -187,13 +221,14 @@ def cmd_verify(args) -> int:
             and 0 < count <= 2 * k - 1
             and _is_vertex(root, g.n)
             and all(
-                _is_vertex_list(p, g.n) and p[:1] == [root] and is_isometric(D, p)
+                _is_vertex_list(p, g.n) and p[:1] == [root] and geodesic(p)
                 for p in rooted_cover
             )
             and type(rooted_radius) is int
             and rooted_radius >= 0
-            and cover_or_packing(g, D, root, rooted_radius, k).cover
+            and greedy_outcome(g, rows, root, rooted_radius, k).cover
             == tuple(map(tuple, rooted_cover))
+            and (not tree or tree_radius_is_least(g, rows, rooted_radius, k))
         )
         report["rooted"] = {"paths": count, "ok": rooted_ok}
         ok = ok and rooted_ok
@@ -218,7 +253,7 @@ def cmd_verify(args) -> int:
             == sorted(build_profile(RootedSolution(root, rooted_radius, rooted_cover, None), k))
             and _is_vertex(apex, g.n)
             and type(gamma) is int
-            and max(int(D[x, apex] + D[y, apex] - D[x, y]) for x, y in pairs) == gamma
+            and _max_product(rows, pairs, apex) == gamma
         )
         report["pairing"] = {
             "pairs": len(pairs) if isinstance(pairs, list) else None,
@@ -241,7 +276,11 @@ def cmd_verify(args) -> int:
             and type(rooted_radius) is int
             and witness_radius == rooted_radius - 1
         )
-        packing_ok = shape_ok and verify_packing(g, D, root, witness_radius, vertices)
+        packing_ok = shape_ok and (
+            verify_tree_packing(rows, root, witness_radius, vertices)
+            if tree
+            else verify_packing(g, D, root, witness_radius, vertices)
+        )
         report["packing"] = {
             "root": root,
             "R": witness_radius,
@@ -266,11 +305,12 @@ def cmd_verify(args) -> int:
         bounds_ok = all(type(x) is int for x in reported) and reported == expected
         lower, upper = expected or (None, None)
         # a computed tau must be the solver's own, four times the four-point
-        # delta (past its cap, exit 2), and it makes upper a bound on the
-        # paths' radius; a supplied one only if it holds, which verify
-        # cannot tell
+        # delta (past its cap, exit 2; 0 on a tree), and it makes upper a
+        # bound on the paths' radius; a supplied one only if it holds, which
+        # verify cannot tell
         if bounds_ok and source == "computed":
-            bounds_ok = tau == 4 * four_point_delta(D) and (ecc is None or ecc <= upper)
+            delta = 0 if tree else four_point_delta(D)
+            bounds_ok = tau == 4 * delta and (ecc is None or ecc <= upper)
         report["bounds"] = {"lower": lower, "upper": upper, "ok": bounds_ok}
         ok = ok and bounds_ok
 

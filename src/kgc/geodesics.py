@@ -34,15 +34,16 @@ from .graph_core import CapExceededError, Graph
 VertexPath = tuple[int, ...]
 
 
-def shortest_path(g: Graph, D: np.ndarray, u: int, v: int) -> VertexPath:
-    """The canonical u->v geodesic: always step to the smallest-id neighbor
-    that gets one hop closer to v."""
+def shortest_path(g: Graph, to_v: np.ndarray, u: int) -> VertexPath:
+    """The canonical geodesic from u to the vertex v whose distance row is
+    ``to_v`` (``D[v]``): always step to the smallest-id neighbor that gets
+    one hop closer to v."""
     path = [u]
     cur = u
-    while cur != v:
-        target = D[cur, v] - 1
+    while to_v[cur]:
+        target = to_v[cur] - 1
         for w in g.adjacency[cur]:  # ascending, so first hit is smallest id
-            if D[w, v] == target:
+            if to_v[w] == target:
                 path.append(w)
                 cur = w
                 break

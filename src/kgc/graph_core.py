@@ -104,9 +104,6 @@ class Graph:
                 if u < w:
                     yield (u, w)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def is_tree(self) -> bool:
         return self.m == self.n - 1
 
@@ -383,6 +380,67 @@ def apsp(g: Graph) -> np.ndarray:
         row[order_col[start : start + size[v]]] -= 2
     d.setflags(write=False)
     return d
+
+
+def tree_rows(g: Graph):
+    """On a tree: a function that maps a sequence of vertex ids to their
+    hop-distance rows, one int32 row of n entries per id, with no n x n
+    matrix.
+
+    One pass from vertex 0 records each vertex's depth, preorder position
+    and subtree end, so every subtree is one run of preorder positions.
+    With depths counted from 1 at vertex 0, d(s, c) = dep(s) + dep(c) -
+    2 dep(lca(s, c)), and dep(lca(s, c)) is the number of ancestors of s,
+    s included, whose subtree holds c (Bender & Farach-Colton, "The LCA
+    problem revisited", LATIN 2000).  So per source one ``bincount`` puts
+    +1 at each ancestor's first position and -1 just past its subtree, and
+    one ``cumsum`` along preorder gives dep(lca) at every column.  A row
+    costs a few passes over n entries.
+    """
+    n = g.n
+    parent = [-1] * n
+    order = []  # preorder from vertex 0
+    todo = [0]
+    while todo:
+        v = todo.pop()
+        order.append(v)
+        for w in g.adjacency[v]:
+            if w != parent[v]:
+                parent[w] = v
+                todo.append(w)
+    depth, size = [1] * n, [1] * n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    pre = np.empty(n, dtype=np.intp)
+    pre[order] = np.arange(n)
+    positions = np.arange(n)
+    ends = positions + np.array(size, dtype=np.intp)[order]  # one past each subtree
+    dep = np.array(depth, dtype=np.int32)[order]  # by preorder position
+
+    def rows(sources) -> np.ndarray:
+        at = pre[np.asarray(sources, dtype=np.intp)]
+        # the ancestors of each source: positions at or before it whose
+        # subtree runs past it
+        line, anc = np.nonzero((positions <= at[:, None]) & (ends > at[:, None]))
+        line *= n + 1
+        cells = at.size * (n + 1)
+        lca = np.bincount(line + anc, minlength=cells) - np.bincount(line + ends[anc], minlength=cells)
+        lca = lca.reshape(at.size, n + 1)[:, :n].cumsum(axis=1)
+        d = dep[at, None] + dep - 2 * lca
+        return d[:, pre].astype(np.int32)
+
+    return rows
+
+
+def tree_eccentricities(rows) -> np.ndarray:
+    """On a tree, every vertex's eccentricity from three distance rows of
+    the function ``rows``: with a farthest from vertex 0 and b farthest
+    from a, ecc(u) = max(d(u, a), d(u, b))."""
+    a = int(rows([0])[0].argmax())
+    from_a = rows([a])[0]
+    return np.maximum(from_a, rows([int(from_a.argmax())])[0])
 
 
 def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph_core import Graph, check_k
+from .graph_core import Graph, check_k, tree_eccentricities
 from .geodesics import VertexPath, shortest_path
 
 
@@ -119,16 +119,20 @@ def _or_into(out: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
 
 
 class _Greedy:
-    """The cover-or-packing greedy from many roots in lockstep, over one D.
+    """The cover-or-packing greedy from many roots in lockstep.
 
-    A ``roots x n`` score matrix holds each root's distance to every alive
-    vertex plus one, 0 once killed.  One row-wise argmax per step gives every
-    running root its farthest alive vertex (ties to the lowest id), then
-    the kill rows of all of them are built at once.  Callers pass at most
-    ``max_roots()`` roots, so score and kill rows stay under ``_CELLS``
-    cells.  Off trees, distances are read from an int16 copy of ``D`` (half
-    its bytes) when they fit, which halves the memory traffic of the kill
-    rows; a tree's runs are one root of at most 2k steps, so it reads ``D``.
+    Distances come from ``rows``, a function that maps an array of vertex
+    ids to their distance rows: the rows of ``D`` (``D.__getitem__``) or,
+    on a tree, ``graph_core.tree_rows``.  A ``roots x n`` score matrix
+    holds each root's distance to every alive vertex plus one, 0 once
+    killed.  One row-wise argmax per step gives every running root its
+    farthest alive vertex (ties to the lowest id), then the kill rows of
+    all of them are built at once.  Callers pass at most ``max_roots()``
+    roots, so score and kill rows stay under ``_CELLS`` cells.  Off trees,
+    distances are read from an int16 copy of every row (half the bytes of
+    ``D``) when they fit, which halves the memory traffic of the kill rows;
+    a tree's runs are one root of at most 2k steps, so they read only the
+    rows of the root and of each pick.
 
     On a tree, and at radius 0 on any graph, a pick v kills exactly the u
     with d(u,v) - |d(r,u) - d(r,v)| <= 2R: one distance test per vertex.
@@ -142,10 +146,15 @@ class _Greedy:
     The caller says whether the graph is a ``tree``.
     """
 
-    def __init__(self, D: np.ndarray, tree: bool):
-        self.n = len(D)
+    def __init__(self, rows, n: int, tree: bool):
+        self.n = n
         self.tree = tree
-        self.d = D if tree or self.n >= 2**15 else D.astype(np.int16)
+        if not tree and n < 2**15:
+            d = np.empty((n, n), dtype=np.int16)
+            for part in _slices(n, n):
+                d[part] = rows(np.arange(n)[part])
+            rows = d.__getitem__
+        self.rows = rows
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
 
@@ -158,7 +167,7 @@ class _Greedy:
         if self._ball is None or self._ball[0] != radius:
             bits = np.zeros((self.n, self.pad // 8), dtype=np.uint8)
             for part in _slices(self.n, self.n):
-                packed = np.packbits(self.d[part] <= radius, axis=1)
+                packed = np.packbits(self.rows(np.arange(self.n)[part]) <= radius, axis=1)
                 bits[part, : packed.shape[1]] = packed
             self._ball = (radius, bits)
         return self._ball[1]
@@ -180,8 +189,8 @@ class _Greedy:
         geodesic, which lies in B.  So the kill is the 2R-ball plus the
         balls of the aligned vertices outside B, and only those get ball
         rows."""
-        d, n = self.d, self.n
-        dv = d[v]
+        n = self.n
+        dv = self.rows(v)
         rows, members = np.divmod(np.flatnonzero(dv == radius), n)
         near = np.zeros((v.size, self.pad), dtype=bool)
         for part in _slices(rows.size, self.pad):
@@ -190,7 +199,7 @@ class _Greedy:
             gap -= dr[at, b][:, None]
             np.abs(gap, out=gap)
             aligned = np.zeros((at.size, self.pad), dtype=bool)
-            np.equal(gap, d[b], out=aligned[:, :n])
+            np.equal(gap, self.rows(b), out=aligned[:, :n])
             _or_into(near, at, aligned)
         near[:, :n] &= dv > radius
         bits = self.ball_bits(radius)
@@ -210,13 +219,12 @@ class _Greedy:
         emptied the graph.  A pick within ``radius`` of the root ends the
         run as a cover: the root is aligned with every vertex, so all die.
         """
-        d = self.d
         m = len(roots)
         covered = np.zeros(m, dtype=bool)
         picks = np.zeros((m, 2 * k), dtype=np.int64)
         length = np.full(m, 2 * k)
         live = np.arange(m)  # input position of each running row
-        dr = d[roots]
+        dr = self.rows(np.asarray(roots))
         score = dr.astype(np.int32)  # distance from the root plus one while
         score += 1  # alive, 0 once killed; int32 rows take the fast argmax
         for step in range(2 * k):
@@ -240,23 +248,29 @@ class _Greedy:
             if radius == 0 or self.tree:  # u dies iff d(u,v) - |d(r,u) - d(r,v)| <= 2R
                 gap = dr - dr[at, v][:, None]
                 np.abs(gap, out=gap)
-                gap -= d[v]
+                gap -= self.rows(v)
                 score *= gap < -min(2 * radius, self.n)
             else:
                 score *= self._survivors(dr, v, radius)
         return covered, [tuple(p[:size].tolist()) for p, size in zip(picks, length)]
 
 
-def _outcome(g: Graph, D: np.ndarray, r: int, covered: bool, picks) -> RootedOutcome:
+def _geodesics(g: Graph, rows, r: int, picks) -> tuple[VertexPath, ...]:
+    """The canonical geodesics r -> pick, one per pick, from the picks' rows."""
+    return tuple(shortest_path(g, row, r) for row in rows(list(picks)))
+
+
+def _outcome(g: Graph, rows, r: int, covered: bool, picks) -> RootedOutcome:
     """The canonical geodesics r -> pick of a cover, or the sorted packing."""
     if covered:
-        return RootedOutcome(cover=tuple(shortest_path(g, D, r, v) for v in picks), packing=None)
+        return RootedOutcome(cover=_geodesics(g, rows, r, picks), packing=None)
     return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
 
 
-def cover_or_packing(g: Graph, D: np.ndarray, r: int, radius: int, k: int) -> RootedOutcome:
-    """One greedy run at (root, radius): a rooted cover of at most 2k-1
-    geodesics, or a packing of exactly 2k vertices.
+def greedy_outcome(g: Graph, rows, r: int, radius: int, k: int) -> RootedOutcome:
+    """One greedy run at (root, radius) over the row function ``rows``: a
+    rooted cover of at most 2k-1 geodesics, or a packing of exactly 2k
+    vertices.
 
     Farthest-first picks, ties to the smallest id; the one-root call of the
     lockstep kernel ``_Greedy``.  The canonical geodesics are built only
@@ -265,8 +279,13 @@ def cover_or_packing(g: Graph, D: np.ndarray, r: int, radius: int, k: int) -> Ro
     check_k(g, k)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    covered, picks = _Greedy(D, g.is_tree()).run([r], radius, k)
-    return _outcome(g, D, r, bool(covered[0]), picks[0])
+    covered, picks = _Greedy(rows, g.n, g.is_tree()).run([r], radius, k)
+    return _outcome(g, rows, r, bool(covered[0]), picks[0])
+
+
+def cover_or_packing(g: Graph, D: np.ndarray, r: int, radius: int, k: int) -> RootedOutcome:
+    """``greedy_outcome`` over the rows of the distance matrix ``D``."""
+    return greedy_outcome(g, D.__getitem__, r, radius, k)
 
 
 def verify_packing(g: Graph, D: np.ndarray, r: int, radius: int, vertices) -> bool:
@@ -284,6 +303,18 @@ def verify_packing(g: Graph, D: np.ndarray, r: int, radius: int, vertices) -> bo
         if (D[members[i + 1 :]][:, near] <= radius).any():
             return False
     return True
+
+
+def verify_tree_packing(rows, r: int, radius: int, vertices) -> bool:
+    """``verify_packing`` on a tree, from the rows of r and of the members:
+    some r-path comes within ``radius`` of both x and y exactly when
+    d(x,y) - |d(r,x) - d(r,y)| <= 2 radius (``_Greedy``'s kill test)."""
+    members = sorted(set(vertices))
+    d = rows([r, *members])
+    dr = d[0, members].astype(np.int64)
+    close = d[1:, members] - np.abs(dr[:, None] - dr[None, :]) <= min(2 * radius, d.shape[1])
+    np.fill_diagonal(close, False)
+    return not close.any()
 
 
 def _search_root(greedy: _Greedy, r: int, k: int, hi: int, picks: tuple[int, ...]):
@@ -315,24 +346,25 @@ def _neighbour_runs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return nbr, np.cumsum(deg) - deg
 
 
-def _radius0_picks(g: Graph, d: np.ndarray, roots) -> np.ndarray:
+def _radius0_picks(g: Graph, rows, roots) -> np.ndarray:
     """The greedy's picks at radius 0 from each root, on a graph of at least
     two vertices: the vertices with no neighbour farther from the root.
-    Distance rows come from ``d``, ``D`` or its int16 copy."""
+    Distance rows come from the row function ``rows``."""
     nbr, starts = _neighbour_runs(g)
     counts = np.empty(len(roots), dtype=np.intp)
     for part in _slices(len(roots), nbr.size):
-        rows = d[roots[part]]
-        farthest = np.maximum.reduceat(rows[:, nbr], starts, axis=1)
-        counts[part] = np.count_nonzero(farthest <= rows, axis=1)
+        d = rows(roots[part])
+        farthest = np.maximum.reduceat(d[:, nbr], starts, axis=1)
+        counts[part] = np.count_nonzero(farthest <= d, axis=1)
     return counts
 
 
-def _tree_picks(g: Graph, D: np.ndarray):
-    """On a tree: the tree's radius, and a function that maps a radius R to
-    every root r's count of vertices of r-height R (module docstring).
-    The greedy from r at R makes that many picks, or one when there are
-    none, so it covers when the count is at most 2k - 1.
+def _tree_picks(g: Graph, ecc: np.ndarray):
+    """On a tree, from every vertex's eccentricity ``ecc``: the tree's
+    radius, and a function that maps a radius R to every root r's count of
+    vertices of r-height R (module docstring).  The greedy from r at R
+    makes that many picks, or one when there are none, so it covers when
+    the count is at most 2k - 1.
 
     Let a1(u) be u's neighbour of least eccentricity, ties to the lowest
     id (u itself when n = 1).  That is u's first step towards every
@@ -346,12 +378,9 @@ def _tree_picks(g: Graph, D: np.ndarray):
     is the height of u's subtree.  So h_r(u) is ecc(u) for the u on r's
     path up the forest and top2(u) elsewhere, and each count is a sum
     along that path, taken for all roots at once by pointer doubling.
-    ``D`` is read once, for the eccentricities.
     """
     n = g.n
-    ecc = np.empty(n, dtype=np.intp)
-    for part in _slices(n, n):
-        ecc[part] = D[part].max(axis=1)
+    ecc = np.asarray(ecc, dtype=np.intp)
     nbr, starts = _neighbour_runs(g)
     a1 = np.arange(n)
     if n > 1:
@@ -376,9 +405,9 @@ def _tree_picks(g: Graph, D: np.ndarray):
     return int(ecc.min()), count
 
 
-def _tree_root(g: Graph, D: np.ndarray, k: int) -> tuple[int, int]:
-    """On a tree: the least radius at which the greedy covers from some
-    root, and the lowest such root.
+def _tree_root(g: Graph, ecc: np.ndarray, k: int) -> tuple[int, int]:
+    """On a tree, from every vertex's eccentricity: the least radius at
+    which the greedy covers from some root, and the lowest such root.
 
     The counts never rise as R grows (a leaf of the subtree of r-heights
     >= R + 1 has a leaf of the larger subtree below it), so the least R is
@@ -387,7 +416,7 @@ def _tree_root(g: Graph, D: np.ndarray, k: int) -> tuple[int, int]:
     root and radius that probing every root finds; no root covers at
     R - 1, where the winner's run gives the packing witness.
     """
-    lo, (hi, count) = -1, _tree_picks(g, D)
+    lo, (hi, count) = -1, _tree_picks(g, ecc)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if (count(mid) < 2 * k).any():
@@ -397,24 +426,36 @@ def _tree_root(g: Graph, D: np.ndarray, k: int) -> tuple[int, int]:
     return int((count(hi) < 2 * k).argmax()), hi
 
 
+def tree_radius_is_least(g: Graph, rows, radius: int, k: int) -> bool:
+    """On a tree, over the row function ``rows``: True iff the greedy covers
+    from no root at ``radius - 1``, so no root's rooted radius is below
+    ``radius`` (the greedy is monotone in R on trees, ``_tree_root``)."""
+    if radius == 0:
+        return True
+    count = _tree_picks(g, tree_eccentricities(rows))[1]
+    return not (count(radius - 1) < 2 * k).any()
+
+
 def _rooted_solution(
-    g: Graph, D: np.ndarray, root: int, radius: int, picks, packing
+    g: Graph, rows, root: int, radius: int, picks, packing
 ) -> RootedSolution:
     """The canonical geodesics root -> pick of a cover at ``radius``, with
     the sorted packing found one below it as the witness."""
     witness = None
     if packing is not None:
         witness = PackingWitness(radius=radius - 1, vertices=tuple(sorted(packing)))
-    cover = tuple(shortest_path(g, D, root, v) for v in picks)
+    cover = _geodesics(g, rows, root, picks)
     return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
 
 
-def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
+def best_root(g: Graph, rows, k: int) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
+    Distances come from the row function ``rows`` (see ``_Greedy``).
 
-    On a tree the root and radius come from counting (``_tree_root``), and
-    the greedy runs twice from that root: at the radius for the cover and
-    one below it for the packing witness.
+    On a tree the root and radius come from counting (``_tree_root``) with
+    the eccentricities of ``graph_core.tree_eccentricities``, and the
+    greedy runs twice from that root: at the radius for the cover and one
+    below it for the packing witness.
 
     Off trees, roots are probed once at one below the incumbent radius: a
     packing there means the root cannot beat the incumbent (a tie loses to
@@ -430,18 +471,18 @@ def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
     one-root-at-a-time search.  Geodesics and the packing witness are built
     once, for the winning root.
 
-    On a tree the search holds a few arrays of n entries beyond ``D``.  Off
-    trees it holds an int16 copy of ``D``, temporaries under the cell
-    budget and the packed ball rows of the last radius it probed (n*n/8
-    bytes).
+    On a tree the search reads a few distance rows and holds a few arrays
+    of n entries.  Off trees it holds an int16 copy of the rows,
+    temporaries under the cell budget and the packed ball rows of the last
+    radius it probed (n*n/8 bytes).
     """
     check_k(g, k)
-    greedy = _Greedy(D, g.is_tree())
+    greedy = _Greedy(rows, g.n, g.is_tree())
     if greedy.tree:
-        root, radius = _tree_root(g, D, k)
+        root, radius = _tree_root(g, tree_eccentricities(rows), k)
         _, picks = greedy.run([root], radius, k)
         packing = greedy.run([root], radius - 1, k)[1][0] if radius else None
-        return _rooted_solution(g, D, root, radius, picks[0], packing)
+        return _rooted_solution(g, rows, root, radius, picks[0], packing)
     incumbent = g.n + 1
     r, size = 0, min(_FIRST_CHUNK, greedy.max_roots())
     while r < g.n and incumbent > 1:
@@ -455,9 +496,9 @@ def best_root(g: Graph, D: np.ndarray, k: int) -> RootedSolution:
         incumbent, cover, packing = _search_root(greedy, root, k, incumbent - 1, picks[hits[0]])
         r, size = root + 1, min(_FIRST_CHUNK, greedy.max_roots())
     if incumbent == 1:
-        counts = _radius0_picks(g, greedy.d, np.arange(r, g.n))
+        counts = _radius0_picks(g, greedy.rows, np.arange(r, g.n))
         hits = (counts < 2 * k).nonzero()[0]
         if hits.size:
             root = r + int(hits[0])
             incumbent, cover, packing = 0, greedy.run([root], 0, k)[1][0], None
-    return _rooted_solution(g, D, root, incumbent, cover, packing)
+    return _rooted_solution(g, rows, root, incumbent, cover, packing)

@@ -159,10 +159,12 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
 _NO_PAIR = np.iinfo(np.int32).max
 
 
-def min_gamma_pairing(D: np.ndarray, pi: Profile) -> Pairing:
+def min_gamma_pairing(dv: np.ndarray, pi: Profile) -> Pairing:
     """Shallowest pairing: the least gamma (over ascending half-integers)
     admitting an apex and a perfect matching, with the first such apex in
-    id order and its least perfect matching.
+    id order and its least perfect matching.  ``dv`` holds the distance
+    rows of the profile's members in profile order (``D[list(pi)]``); the
+    distances between members are those rows at the members' columns.
 
     Feasibility only changes at achieved Gromov-product values, so only
     those are probed, in ascending order; the largest product always
@@ -177,8 +179,7 @@ def min_gamma_pairing(D: np.ndarray, pi: Profile) -> Pairing:
         raise ValueError(f"profile length must be even and >= 2, got {len(pi)}")
     # the doubled Gromov products (pi[i]|pi[j])_v as an int32 (i, j, v) tensor
     members = np.asarray(pi, dtype=np.int64)
-    dv = D[members, :]  # 2k x n
-    cross = D[np.ix_(members, members)]
+    cross = dv[:, members]
     prod = dv[:, None, :] + dv[None, :, :] - cross[:, :, None]
     positions = np.arange(len(members))
     prod[positions, positions, :] = _NO_PAIR
@@ -198,7 +199,9 @@ def min_gamma_pairing(D: np.ndarray, pi: Profile) -> Pairing:
     raise AssertionError("unreachable: complete pairing graph at max product")
 
 
-def paths_of_pairing(g: Graph, D: np.ndarray, pairing: Pairing) -> tuple[VertexPath, ...]:
-    """One canonical geodesic per pair, aligned with ``pairing.pairs``;
-    a pair {u,u} yields the single-vertex path (u,)."""
-    return tuple(shortest_path(g, D, x, y) for x, y in pairing.pairs)
+def paths_of_pairing(g: Graph, ends: np.ndarray, pairing: Pairing) -> tuple[VertexPath, ...]:
+    """One canonical geodesic x -> y per pair (x, y), aligned with
+    ``pairing.pairs``, from ``ends``, the distance rows of the pairs'
+    second vertices in pair order; a pair {u,u} yields the single-vertex
+    path (u,)."""
+    return tuple(shortest_path(g, row, x) for (x, _), row in zip(pairing.pairs, ends))

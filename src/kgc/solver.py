@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .graph_core import Graph, apsp, check_k, four_point_delta
+from .graph_core import Graph, apsp, check_k, four_point_delta, tree_rows
 from .geodesics import VertexPath, family_eccentricity
 from .rooted_cover import RootedSolution, best_root
 from .shallow_pairing import Pairing, min_gamma_pairing, paths_of_pairing
@@ -69,22 +69,30 @@ def bound_range(rooted_radius: int, tau_doubled: int) -> tuple[int, int]:
 def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResult:
     """Approximate k-geodesic center of g.  ``tau_hat_doubled`` supplies a
     doubled thinness bound; by default it is computed as four times the
-    doubled four-point delta."""
+    doubled four-point delta.
+
+    On a tree no distance matrix is built: every stage reads its rows from
+    ``tree_rows``, O(kn) in all, and the computed tau is 0, since every
+    block of a tree is a bridge.  Other graphs read the rows of ``apsp``.
+    """
     check_k(g, k)
-    D = apsp(g)
+    if tau_hat_doubled is not None and tau_hat_doubled < 0:
+        raise ValueError("tau_hat_doubled must be >= 0")
+    tree = g.is_tree()
+    D = None if tree else apsp(g)
+    rows = tree_rows(g) if tree else D.__getitem__
     if tau_hat_doubled is not None:
-        if tau_hat_doubled < 0:
-            raise ValueError("tau_hat_doubled must be >= 0")
         tau = tau_hat_doubled
         tau_source = "supplied"
     else:
         # thinness is at most four times the four-point delta
-        tau = 4 * four_point_delta(D)
+        tau = 0 if tree else 4 * four_point_delta(D)
         tau_source = "computed"
 
-    rooted = best_root(g, D, k)
-    pairing = min_gamma_pairing(D, build_profile(rooted, k))
-    pair_paths = paths_of_pairing(g, D, pairing)
+    rooted = best_root(g, rows, k)
+    profile = build_profile(rooted, k)
+    pairing = min_gamma_pairing(rows(list(profile)), profile)
+    pair_paths = paths_of_pairing(g, rows([y for _, y in pairing.pairs]), pairing)
     paths = tuple(dict.fromkeys(pair_paths))  # drop duplicates, keep order
     radius = family_eccentricity(g, paths)
 
@@ -93,4 +101,3 @@ def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResul
     return SolveResult(
         k=k, paths=paths, radius=radius, rooted=rooted, pairing=pairing, bounds=bounds
     )
-

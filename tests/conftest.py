@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from kgc import (
+    BoundReport,
     Graph,
     OracleCaps,
     PackingWitness,
@@ -19,9 +20,11 @@ from kgc import (
     exact_optimum,
     family_eccentricity,
     four_point_delta,
+    path_graph,
     random_connected,
     random_tree,
     solve,
+    star_graph,
     subdivide,
 )
 from kgc.geodesics import VertexPath, shortest_path
@@ -34,7 +37,8 @@ from kgc.rooted_cover import (
     _search_root,
     _slices,
 )
-from kgc.shallow_pairing import _augment
+from kgc.shallow_pairing import _augment, min_gamma_pairing
+from kgc.solver import bound_range, build_profile
 
 
 def small_graph_corpus(count: int, max_n: int, seed: int, max_m: int | None = None):
@@ -56,6 +60,30 @@ def tree_corpus(count: int, min_n: int, max_n: int, seed: int):
     return [
         random_tree(min_n + rng.below(max_n - min_n + 1), rng.next_u64())
         for _ in range(count)
+    ]
+
+
+def caterpillar(spine: int, legs: int) -> Graph:
+    """Path of ``spine`` vertices with ``legs`` pendant leaves on each."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+def tree_shapes():
+    """Trees of fixed shape: one and two vertices, a path, a star, spiders
+    and caterpillars."""
+    return [
+        path_graph(1),
+        path_graph(2),
+        path_graph(50),
+        star_graph(9),
+        subdivide(star_graph(3), 4),  # spiders
+        subdivide(star_graph(5), 2),
+        subdivide(star_graph(4), 7),
+        caterpillar(8, 2),
+        caterpillar(12, 1),
+        caterpillar(5, 4),
     ]
 
 
@@ -138,7 +166,7 @@ def reference_cover_or_packing(g, D, r, radius, k) -> RootedOutcome:
     while alive.any() and len(picks) < 2 * k:
         v = int(np.where(alive, dr, -1).argmax())
         picks.append(v)
-        sigmas.append(shortest_path(g, D, r, v))
+        sigmas.append(shortest_path(g, D[v], r))
         if len(picks) == 2 * k:
             break
         near_geodesic = (aligned & ball[v][None, :]).any(axis=1)
@@ -154,8 +182,8 @@ def reference_survivors(greedy: _Greedy, dr: np.ndarray, v: np.ndarray, radius: 
     each pick's ball, not only its sphere: row i kills every vertex whose
     ball meets a vertex aligned, through row i's root, with some b in
     v[i]'s ball."""
-    d, n = greedy.d, greedy.n
-    rows, members = (d[v] <= radius).nonzero()
+    n = greedy.n
+    rows, members = (greedy.rows(v) <= radius).nonzero()
     near = np.zeros((v.size, greedy.pad), dtype=bool)
     for part in _slices(rows.size, greedy.pad):
         at, b = rows[part], members[part]
@@ -163,7 +191,7 @@ def reference_survivors(greedy: _Greedy, dr: np.ndarray, v: np.ndarray, radius: 
         gap -= dr[at, b][:, None]
         np.abs(gap, out=gap)
         aligned = np.zeros((at.size, greedy.pad), dtype=bool)
-        np.equal(gap, d[b], out=aligned[:, :n])
+        np.equal(gap, greedy.rows(b), out=aligned[:, :n])
         _or_into(near, at, aligned)
     bits = greedy.ball_bits(radius)
     rows, members = near.nonzero()
@@ -213,6 +241,29 @@ def reference_best_root(g, D, k, prune=True) -> RootedSolution:
             best = (radius, r, cover, witness)
     radius, root, cover, witness = best
     return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+
+
+def solve_from(g, D, rooted: RootedSolution, k: int, tau_hat_doubled=None) -> SolveResult:
+    """The rest of ``solve`` from a given rooted solution, over the full
+    matrix ``D``: the pairing of its profile, one canonical geodesic per
+    pair, and the bounds, with tau four times the four-point delta unless
+    supplied."""
+    if tau_hat_doubled is None:
+        tau, source = 4 * four_point_delta(D), "computed"
+    else:
+        tau, source = tau_hat_doubled, "supplied"
+    profile = build_profile(rooted, k)
+    pairing = min_gamma_pairing(D[list(profile)], profile)
+    paths = tuple(dict.fromkeys(shortest_path(g, D[y], x) for x, y in pairing.pairs))
+    lower, upper = bound_range(rooted.radius, tau)
+    return SolveResult(
+        k=k,
+        paths=paths,
+        radius=family_eccentricity(g, paths),
+        rooted=rooted,
+        pairing=pairing,
+        bounds=BoundReport(tau_hat_doubled=tau, tau_source=source, lower=lower, upper=upper),
+    )
 
 
 def max_matching(adj) -> list[int]:
@@ -312,7 +363,7 @@ def path_through(g: Graph, D: np.ndarray, r: int, a: int, b: int) -> VertexPath:
     """Geodesic from r to b through a; requires d(r,a) + d(a,b) = d(r,b)."""
     if int(D[r, a]) + int(D[a, b]) != int(D[r, b]):
         raise ValueError(f"{a} does not lie between {r} and {b}")
-    return shortest_path(g, D, r, a) + shortest_path(g, D, a, b)[1:]
+    return shortest_path(g, D[a], r) + shortest_path(g, D[b], a)[1:]
 
 
 def exists_covering_rpath(g: Graph, D: np.ndarray, r: int, u: int, w: int, radius: int) -> bool:
@@ -380,16 +431,16 @@ def pairing_distance(D: np.ndarray, pairing) -> int:
 def scan_root(g: Graph, D: np.ndarray, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Greedy outcome (cover?) from root r at each radius 0..upto (default n)."""
     limit = g.n if upto is None else upto
-    greedy = _Greedy(D, g.is_tree())
+    greedy = _Greedy(D.__getitem__, g.n, g.is_tree())
     return [bool(greedy.run([r], radius, k)[0][0]) for radius in range(limit + 1)]
 
 
 def min_radius_for_root(g: Graph, D: np.ndarray, r: int, k: int):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    greedy = _Greedy(D, g.is_tree())
+    greedy = _Greedy(D.__getitem__, g.n, g.is_tree())
     _, picks = greedy.run([r], g.n, k)  # radius n covers
-    found = _rooted_solution(g, D, r, *_search_root(greedy, r, k, g.n, picks[0]))
+    found = _rooted_solution(g, D.__getitem__, r, *_search_root(greedy, r, k, g.n, picks[0]))
     return found.radius, found.cover, found.packing_witness
 
 
@@ -414,7 +465,7 @@ def check_rooted_relaxation(g: Graph, D: np.ndarray, k: int, caps: OracleCaps | 
     endpoints = sorted({p[0] for p in oracle.witness} | {p[-1] for p in oracle.witness})
     worst = 0
     for r in endpoints:
-        family = [shortest_path(g, D, r, x) for x in endpoints if x != r]
+        family = [shortest_path(g, D[x], r) for x in endpoints if x != r]
         if not family:
             family = [(r,)]
         worst = max(worst, family_eccentricity(g, family))
@@ -444,7 +495,7 @@ def check_subdivision_lemma(
     contraction_ok = True
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            P = shortest_path(H, DH, u, v)
+            P = shortest_path(H, DH[v], u)
             Q = [x for x in P if x < g.n]  # original vertices keep their ids
             for w in range(g.n):
                 dP = min(int(DH[w, x]) for x in P)

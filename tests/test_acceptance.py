@@ -250,7 +250,7 @@ def test_criterion_5_shallow_pairing():
         gamma = 2 * tau + 1  # 2*tau + 1/2
         # a pairing graph only gains edges as gamma grows, so a pairing
         # exists at this shallowness exactly when the least gamma is at most it
-        pairing = min_gamma_pairing(D, pi)
+        pairing = min_gamma_pairing(D[list(pi)], pi)
         if pairing.gamma_doubled > gamma:
             failures.append(("missing", g.n, g.m, pi))
         if sorted(v for pair in pairing.pairs for v in pair) != sorted(pi):

@@ -17,10 +17,19 @@ from kgc import (
     star_graph,
     subdivide,
 )
+import kgc.cli
 import kgc.rooted_cover
+import kgc.solver
+from kgc import Graph, RootedSolution
 from kgc.cli import main
 from kgc.solver import bound_range
-from conftest import exists_covering_rpath
+from conftest import (
+    exists_covering_rpath,
+    min_radius_for_root,
+    solve_from,
+    tree_corpus,
+    tree_shapes,
+)
 
 
 def write_graph(tmp_path, g, name):
@@ -193,7 +202,7 @@ def test_tree_never_reaches_general_kernel(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(kgc.rooted_cover._Greedy, "_survivors", unreachable)
     monkeypatch.setattr(kgc.rooted_cover._Greedy, "ball_bits", unreachable)
     g = random_tree(200, 19)
-    assert kgc.rooted_cover.best_root(g, apsp(g), 3).radius > 0
+    assert kgc.rooted_cover.best_root(g, apsp(g).__getitem__, 3).radius > 0
     gpath = write_graph(tmp_path, g, "tree200.txt")
     solved = str(tmp_path / "out.json")
     code, _, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "3",
@@ -687,3 +696,119 @@ def test_unknown_command_exit_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def _spy_apsp(monkeypatch):
+    """Record every graph that reaches apsp from the CLI or the solver."""
+    calls = []
+    for module in (kgc.cli, kgc.solver):
+        monkeypatch.setattr(module, "apsp", lambda g: calls.append(g) or apsp(g))
+    return calls
+
+
+def test_tree_commands_build_no_distance_matrix(tmp_path, capsys, monkeypatch):
+    # solve with tau supplied and computed, verify of both, and delta read
+    # a tree's rows from its index: apsp is never called
+    calls = _spy_apsp(monkeypatch)
+    g = random_tree(300, 23)
+    gpath = write_graph(tmp_path, g, "tree.txt")
+    for options in ((), ("--tau-hat-doubled", "0")):
+        solved = str(tmp_path / "out.json")
+        code, _, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "3", "-o", solved, *options)
+        assert code == 0
+        radius = json.loads(Path(solved).read_text())["radius"]
+        code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", solved,
+                               "--radius", str(radius))
+        assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = run_cli(capsys, "delta", "-g", gpath)
+    assert code == 0 and json.loads(out) == {"delta_doubled": 0}
+    assert calls == []
+    # a graph with a cycle still goes through apsp
+    gpath = write_graph(tmp_path, cycle_graph(9), "cycle.txt")
+    assert run_cli(capsys, "delta", "-g", gpath)[0] == 0
+    assert len(calls) == 1
+
+
+def test_tree_verify_matches_the_matrix_path(tmp_path, capsys, monkeypatch):
+    # verify's report on a tree, from rows of the index, is byte for byte
+    # the report of the matrix path, forced by treating the tree as cyclic
+    trees = [*tree_corpus(12, 1, 120, seed=225), *tree_shapes()]
+    artifacts = []
+    for i, g in enumerate(trees):
+        gpath = write_graph(tmp_path, g, f"t{i}.txt")
+        for k, options in ((1, ()), (min(3, g.n), ("--tau-hat-doubled", "0"))):
+            solved = str(tmp_path / f"t{i}k{k}.json")
+            assert run_cli(capsys, "solve", "-g", gpath, "-k", str(k), "-o", solved, *options)[0] == 0
+            radius = json.loads(Path(solved).read_text())["radius"]
+            for claimed in (radius, radius - 1):
+                artifacts.append(("verify", "-g", gpath, "--cover", solved, "--radius", str(claimed)))
+    on_tree = [run_cli(capsys, *argv)[:2] for argv in artifacts]
+    monkeypatch.setattr(Graph, "is_tree", lambda self: False)
+    assert [run_cli(capsys, *argv)[:2] for argv in artifacts] == on_tree
+    assert {code for code, _ in on_tree} == {0, 1}
+
+
+def _artifact_from_root(g, k, root, tau_hat_doubled):
+    """An honest artifact whose rooted solution comes from ``root`` alone:
+    the greedy's least radius there, its cover and witness, and the
+    pairing, paths and bounds recomputed from them."""
+    D = apsp(g)
+    radius, cover, witness = min_radius_for_root(g, D, root, k)
+    rooted = RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+    return solve_from(g, D, rooted, k, tau_hat_doubled).as_dict()
+
+
+def test_verify_certifies_the_least_rooted_radius_on_trees(tmp_path, capsys):
+    # on random_tree(40, 1), k=2, the artifact from root 0 claims rooted.R
+    # = 3 with a genuine cover and witness, while roots 2, 3, 7 and others
+    # cover at 2; its bounds.lower of 3 exceeds the optimum of 2, so verify
+    # must fail it, with tau supplied and with tau computed
+    g = random_tree(40, 1)
+    assert solve(g, 2).radius == solve(g, 2).rooted.radius == 2
+    gpath = write_graph(tmp_path, g, "tree40.txt")
+    artifact = tmp_path / "root0.json"
+    for tau in (0, None):
+        data = _artifact_from_root(g, 2, 0, tau)
+        assert data["rooted"]["R"] == 3 and data["bounds"]["lower"] == 3
+        artifact.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact),
+                               "--radius", str(data["radius"]))
+        report = json.loads(out)
+        assert code == 1 and report["ok"] is False
+        assert report["rooted"]["ok"] is False
+        assert report["cover"]["ok"] and report["packing"]["ok"] and report["bounds"]["ok"]
+    # the artifact from the best root passes
+    data = _artifact_from_root(g, 2, solve(g, 2).rooted.root, None)
+    artifact.write_text(json.dumps(data))
+    assert run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact),
+                   "--radius", str(data["radius"]))[0] == 0
+
+
+def test_verify_checks_the_artifact_before_any_distance_work(tmp_path, capsys, monkeypatch):
+    # a malformed artifact exits 1 before apsp runs: not an object, no
+    # paths, or a k that is not an integer in [1, n]
+    calls = _spy_apsp(monkeypatch)
+    gpath = write_graph(tmp_path, cycle_graph(8), "c8.txt")
+    artifact = tmp_path / "bad.json"
+    paths = [[0, 1, 2]]
+    for payload in ([paths], {"k": 2}, {"k": "2", "paths": paths}, {"k": 0, "paths": paths},
+                    {"k": 9, "paths": paths}, {"k": True, "paths": paths}):
+        artifact.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact),
+                                 "--radius", "3")
+        assert code == 1 and out == "" and err.startswith("error: ")
+    assert calls == []
+    artifact.write_text(json.dumps({"k": 2, "paths": paths, "radius": 3}))
+    assert run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact), "--radius", "3")[0] == 0
+    assert len(calls) == 1
+
+
+def test_solve_rejects_threads_before_reading_the_graph(tmp_path, capsys, monkeypatch):
+    # --threads 0 exits 1 before the graph file is opened or apsp runs
+    calls = _spy_apsp(monkeypatch)
+    reads = []
+    monkeypatch.setattr(kgc.cli, "_read_graph", lambda path: reads.append(path))
+    code, out, err = run_cli(capsys, "solve", "-g", str(tmp_path / "missing.txt"), "-k", "1",
+                             "--threads", "0")
+    assert code == 1 and out == "" and "threads must be >= 1" in err
+    assert reads == [] and calls == []

@@ -37,10 +37,10 @@ def brute_covering_rpath(g, D, r, u, w, radius) -> bool:
 def test_shortest_path_examples():
     g = path_graph(5)
     D = apsp(g)
-    assert shortest_path(g, D, 0, 4) == (0, 1, 2, 3, 4)
+    assert shortest_path(g, D[4], 0) == (0, 1, 2, 3, 4)
     c4 = cycle_graph(4)
-    assert shortest_path(c4, apsp(c4), 0, 2) == (0, 1, 2)  # neighbor 1 beats 3
-    assert shortest_path(g, D, 2, 2) == (2,)
+    assert shortest_path(c4, apsp(c4)[2], 0) == (0, 1, 2)  # neighbor 1 beats 3
+    assert shortest_path(g, D[2], 2) == (2,)
 
 
 def test_shortest_path_always_isometric():
@@ -48,7 +48,7 @@ def test_shortest_path_always_isometric():
         D = apsp(g)
         for u in range(g.n):
             for v in range(g.n):
-                p = shortest_path(g, D, u, v)
+                p = shortest_path(g, D[v], u)
                 assert is_isometric(D, p)
                 assert len(p) == int(D[u, v]) + 1
 
@@ -136,7 +136,7 @@ def test_family_eccentricity_matches_naive():
         paths = []
         for _ in range(3):
             u, v = rng.below(g.n), rng.below(g.n)
-            paths.append(shortest_path(g, D, u, v))
+            paths.append(shortest_path(g, D[v], u))
         assert family_eccentricity(g, paths) == naive_family_eccentricity(D, paths)
 
 

@@ -34,6 +34,7 @@ from conftest import (
     reference_pair_scan_delta_doubled,
     small_graph_corpus,
     tree_corpus,
+    tree_shapes,
 )
 
 
@@ -327,6 +328,30 @@ def test_apsp_memory_beyond_the_matrix():
         finally:
             tracemalloc.stop()
         assert peak <= bound * D.nbytes
+
+
+def test_tree_rows_match_apsp():
+    # the tree index against apsp: every vertex's row alone, all rows in
+    # one call, repeated and empty sources; n = 1, 2, paths, a star,
+    # spiders, caterpillars and random trees of 1-120 vertices
+    for g in [*tree_corpus(60, 1, 120, seed=221), *tree_shapes()]:
+        D = apsp(g)
+        rows = graph_core.tree_rows(g)
+        every = rows(np.arange(g.n))
+        assert every.dtype == np.int32 and (every == D).all()
+        for v in range(g.n):
+            assert (rows([v]) == D[[v]]).all()
+        assert (rows([g.n - 1, 0, g.n - 1]) == D[[g.n - 1, 0, g.n - 1]]).all()
+        assert rows([]).shape == (0, g.n)
+
+
+def test_tree_eccentricities_match_apsp():
+    # from the rows of the index or of D, ecc(u) = max(d(u, a), d(u, b))
+    # with a farthest from 0 and b farthest from a
+    for g in [*tree_corpus(60, 1, 120, seed=222), *tree_shapes()]:
+        D = apsp(g)
+        for rows in (graph_core.tree_rows(g), D.__getitem__):
+            assert (graph_core.tree_eccentricities(rows) == D.max(axis=1)).all()
 
 
 def test_distance_matrix_axioms():

@@ -23,9 +23,10 @@ from kgc import (
     subdivide,
     verify_packing,
 )
-from kgc.graph_core import SplitMix64
-from kgc.rooted_cover import best_root, cover_or_packing
+from kgc.graph_core import SplitMix64, tree_rows
+from kgc.rooted_cover import best_root, cover_or_packing, verify_tree_packing
 from conftest import (
+    caterpillar,
     min_radius_for_root,
     reference_best_root,
     reference_cover_or_packing,
@@ -34,6 +35,7 @@ from conftest import (
     scan_root,
     small_graph_corpus,
     tree_corpus,
+    tree_shapes,
 )
 
 
@@ -113,7 +115,7 @@ def test_min_radius_examples():
 def test_min_radius_spider_matches_linear_scan():
     g = subdivide(star_graph(3), 2)  # spider, 3 legs of length 2
     D = apsp(g)
-    leaf = next(v for v in range(g.n) if g.degree(v) == 1)  # a leg tip
+    leaf = next(v for v in range(g.n) if len(g.adjacency[v]) == 1)  # a leg tip
     radius, _, _ = min_radius_for_root(g, D, leaf, 1)
     outcomes = scan_root(g, D, leaf, 1)
     assert radius == outcomes.index(True)
@@ -135,11 +137,11 @@ def test_min_radius_matches_linear_scan_random():
 
 def test_best_root_examples():
     p5 = path_graph(5)
-    sol = best_root(p5, apsp(p5), 1)
+    sol = best_root(p5, apsp(p5).__getitem__, 1)
     assert sol.radius == 0 and sol.root == 0  # tie broken to the lowest id
 
     s5 = star_graph(5)
-    sol = best_root(s5, apsp(s5), 2)
+    sol = best_root(s5, apsp(s5).__getitem__, 2)
     assert sol.radius == 1
 
 
@@ -154,7 +156,7 @@ def test_best_root_matches_exhaustive():
         D = apsp(g)
         for k in (1, 2):
             expected = linear_best(g, D, k)
-            sol = best_root(g, D, k)
+            sol = best_root(g, D.__getitem__, k)
             assert (sol.radius, sol.root) == expected
 
 
@@ -163,7 +165,7 @@ def test_best_root_prune_and_threads_do_not_change_result():
         D = apsp(g)
         for k in (1, 2):
             baseline = reference_best_root(g, D, k, prune=False)
-            assert best_root(g, D, k) == baseline
+            assert best_root(g, D.__getitem__, k) == baseline
             assert solve(g, k).rooted == baseline
 
 
@@ -211,7 +213,7 @@ def test_threaded_tie_breaks_on_symmetric_graphs():
         D = apsp(g)
         for k in (1, 2):
             expected = reference_best_root(g, D, k, prune=False)
-            assert best_root(g, D, k) == expected
+            assert best_root(g, D.__getitem__, k) == expected
 
 
 def test_cover_or_packing_rejects_bad_k():
@@ -222,7 +224,7 @@ def test_cover_or_packing_rejects_bad_k():
     with pytest.raises(ValueError):
         cover_or_packing(g, D, 0, -1, 1)
     with pytest.raises(ValueError):
-        best_root(g, D, 5)
+        best_root(g, D.__getitem__, 5)
 
 
 def _two_cycles_with_pendant_trees():
@@ -270,7 +272,7 @@ def test_best_root_matches_reference_kernel():
     for g in _differential_corpus():
         D = apsp(g)
         for k in (1, 2, 3):
-            found = best_root(g, D, k)
+            found = best_root(g, D.__getitem__, k)
             for prune in (True, False):
                 assert found == reference_best_root(g, D, k, prune=prune)
 
@@ -283,8 +285,8 @@ def test_survivors_match_full_ball_reference():
     # sphere is empty.  At n = 64 the rows need no padding column.
     for g in [*_differential_corpus(), random_connected(64, 76, 176)]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, False)
-        dr = greedy.d[np.repeat(np.arange(g.n), g.n)]
+        greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
+        dr = greedy.rows(np.repeat(np.arange(g.n), g.n))
         v = np.tile(np.arange(g.n), g.n)
         ecc = D.max(axis=1)[v]
         for radius in range(1, int(D.max()) + 2):
@@ -293,13 +295,6 @@ def test_survivors_match_full_ball_reference():
             assert (found == expected).all()
             # the balls of v's ball members cover all of v's 2R-ball
             assert not found[2 * radius >= ecc].any()
-
-
-def _caterpillar(spine: int, legs: int) -> Graph:
-    """Path of ``spine`` vertices with ``legs`` pendant leaves on each."""
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
-    return Graph.from_edges(spine * (legs + 1), edges)
 
 
 def test_tree_kill_matches_general_kernel():
@@ -314,13 +309,13 @@ def test_tree_kill_matches_general_kernel():
         star_graph(9),
         subdivide(star_graph(3), 4),  # a spider with three legs of 5
         subdivide(star_graph(5), 2),
-        _caterpillar(8, 2),
-        _caterpillar(12, 1),
+        caterpillar(8, 2),
+        caterpillar(12, 1),
     ]
     for g in trees:
         D = apsp(g)
-        fast = kgc.rooted_cover._Greedy(D, True)
-        general = kgc.rooted_cover._Greedy(D, False)
+        fast = kgc.rooted_cover._Greedy(D.__getitem__, g.n, True)
+        general = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
@@ -337,9 +332,9 @@ def test_tree_flag_is_false_off_trees(monkeypatch):
     flags = []
     init = kgc.rooted_cover._Greedy.__init__
 
-    def spy(self, D, tree):
+    def spy(self, rows, n, tree):
         flags.append(tree)
-        init(self, D, tree)
+        init(self, rows, n, tree)
 
     monkeypatch.setattr(kgc.rooted_cover._Greedy, "__init__", spy)
     tree = random_tree(30, 192)
@@ -350,9 +345,9 @@ def test_tree_flag_is_false_off_trees(monkeypatch):
     ]
     for g in (cycle_graph(9), *chords, grid_graph(4, 3), grid_graph(2, 2)):
         D = apsp(g)
-        best_root(g, D, 1)
+        best_root(g, D.__getitem__, 1)
         cover_or_packing(g, D, 0, 1, 1)
-    best_root(tree, apsp(tree), 1)
+    best_root(tree, apsp(tree).__getitem__, 1)
     assert flags == [False] * 10 + [True]
 
 
@@ -368,11 +363,11 @@ def test_greedy_reads_int32_distances_in_place():
     ]
     for g in graphs:
         D = apsp(g)
-        copied = kgc.rooted_cover._Greedy(D, g.is_tree())
-        copied.d = D.astype(np.int16)
-        in_place = kgc.rooted_cover._Greedy(D, g.is_tree())
-        in_place.d = D
-        assert copied.d.dtype == np.int16 and in_place.d.dtype == np.int32
+        copied = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
+        copied.rows = D.astype(np.int16).__getitem__
+        in_place = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
+        in_place.rows = D.__getitem__
+        assert copied.rows([0]).dtype == np.int16 and in_place.rows([0]).dtype == np.int32
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
@@ -382,29 +377,14 @@ def test_greedy_reads_int32_distances_in_place():
                 assert picks == expected_picks
 
 
-def _tree_shapes():
-    return [
-        path_graph(1),
-        path_graph(2),
-        path_graph(50),
-        star_graph(9),
-        subdivide(star_graph(3), 4),  # spiders
-        subdivide(star_graph(5), 2),
-        subdivide(star_graph(4), 7),
-        _caterpillar(8, 2),
-        _caterpillar(12, 1),
-        _caterpillar(5, 4),
-    ]
-
-
 def test_tree_picks_decide_the_greedy():
     # the lemma: from every root r of a tree, at every radius R, the greedy
     # makes one pick per vertex of r-height R (one pick where none is), so
     # it covers exactly when at most 2k - 1 vertices have r-height R
-    for g in [*tree_corpus(40, 1, 60, seed=195), *_tree_shapes()]:
+    for g in [*tree_corpus(40, 1, 60, seed=195), *tree_shapes()]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, True)
-        radius, count = kgc.rooted_cover._tree_picks(g, D)
+        greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, True)
+        radius, count = kgc.rooted_cover._tree_picks(g, D.max(axis=1))
         assert radius == D.max(axis=1).min()
         for R in range(g.n + 2):
             counts = count(R)
@@ -422,12 +402,12 @@ def test_tree_best_root_matches_reference():
     trees = [
         *tree_corpus(300, 1, 40, seed=196),
         *tree_corpus(20, 41, 120, seed=197),
-        *_tree_shapes(),
+        *tree_shapes(),
     ]
     for g in trees:
         D = apsp(g)
         for k in range(1, min(5, g.n) + 1):
-            assert best_root(g, D, k) == reference_best_root(g, D, k)
+            assert best_root(g, D.__getitem__, k) == reference_best_root(g, D, k)
 
 
 def test_radius0_picks_decide_the_greedy():
@@ -437,9 +417,9 @@ def test_radius0_picks_decide_the_greedy():
     graphs += [g for g in small_graph_corpus(30, 25, seed=198) if not g.is_tree()]
     for g in graphs:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, False)
+        greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
         roots = np.arange(g.n)
-        counts = kgc.rooted_cover._radius0_picks(g, greedy.d, roots)
+        counts = kgc.rooted_cover._radius0_picks(g, greedy.rows, roots)
         for k in range(1, g.n // 2 + 1):
             covered, found = greedy.run(roots, 0, k)
             assert (covered == (counts < 2 * k)).all()
@@ -462,11 +442,11 @@ def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
     monkeypatch.setattr(
         kgc.rooted_cover, "_radius0_picks", lambda *a: counted.append(a) or radius0_picks(*a)
     )
-    for g in [*tree_corpus(20, 1, 80, seed=199), *_tree_shapes()]:
+    for g in [*tree_corpus(20, 1, 80, seed=199), *tree_shapes()]:
         D = apsp(g)
         for k in (1, 2, 3):
             calls.clear()
-            sol = best_root(g, D, min(k, g.n))
+            sol = best_root(g, D.__getitem__, min(k, g.n))
             assert len(calls) <= 2 and all(size == 1 for size, _ in calls)
             assert calls[0] == (1, sol.radius)
     decided_at_0 = 0
@@ -477,17 +457,17 @@ def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
         for k in (1, 2, 4, g.n // 2):
             calls.clear()
             counted.clear()
-            sol = best_root(g, D, k)
+            sol = best_root(g, D.__getitem__, k)
             assert not any(size > 1 and radius == 0 for size, radius in calls)
             decided_at_0 += sol.radius == 0 and calls[-1] == (1, 0) and bool(counted)
     assert decided_at_0 >= 10
 
 
 def _lockstep_outcomes(g, D, radius, k):
-    greedy = kgc.rooted_cover._Greedy(D, g.is_tree())
+    greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
     covered, picks = greedy.run(np.arange(g.n), radius, k)
     return [
-        kgc.rooted_cover._outcome(g, D, r, bool(covered[r]), picks[r]) for r in range(g.n)
+        kgc.rooted_cover._outcome(g, D.__getitem__, r, bool(covered[r]), picks[r]) for r in range(g.n)
     ]
 
 
@@ -516,7 +496,7 @@ def test_lockstep_greedy_matches_reference_in_tiny_slices(monkeypatch):
     for g in _differential_corpus()[::3]:
         D = apsp(g)
         for k in (1, 2):
-            assert best_root(g, D, k) == reference_best_root(g, D, k)
+            assert best_root(g, D.__getitem__, k) == reference_best_root(g, D, k)
 
 
 def test_slices_cover_every_row_once(monkeypatch):
@@ -535,7 +515,7 @@ def test_ball_bits_keep_the_last_radius(monkeypatch):
     # so radius 38, asked for again after 39, is built a second time
     g = path_graph(40)
     D = apsp(g)
-    greedy = kgc.rooted_cover._Greedy(D, False)
+    greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
     builds = []
     slices = kgc.rooted_cover._slices
     monkeypatch.setattr(
@@ -572,7 +552,7 @@ def test_best_root_covers_mid_chunk(monkeypatch):
     ):
         D = apsp(g)
         calls.clear()
-        assert best_root(g, D, k) == reference_best_root(g, D, k)
+        assert best_root(g, D.__getitem__, k) == reference_best_root(g, D, k)
         assert sum(1 for _, hits in calls if hits) >= 2
         assert any(hits and 0 < hits[0] < size - 1 for size, hits in calls)
 
@@ -585,7 +565,7 @@ def test_best_root_allocates_no_square_matrices():
         D = apsp(g)
         tracemalloc.start()
         try:
-            best_root(g, D, 3)
+            best_root(g, D.__getitem__, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -612,5 +592,29 @@ def test_verify_packing_matches_pairwise_reference():
                 for vertices in sets:
                     expected = reference_verify_packing(g, D, r, radius, vertices)
                     assert verify_packing(g, D, r, radius, vertices) == expected
+                    outcomes[expected] += 1
+    assert min(outcomes.values()) >= 200
+
+
+def test_tree_packing_matches_verify_packing():
+    # the closed-form pair test d(x,y) - |d(r,x) - d(r,y)| <= 2R against
+    # the ball alignment of verify_packing: every root of each tree, R =
+    # 0..6, greedy packings and random vertex sets
+    rng = SplitMix64(5454)
+    outcomes = {True: 0, False: 0}
+    for g in [*tree_corpus(12, 2, 30, seed=223), *tree_shapes()[:8]]:
+        D = apsp(g)
+        rows = tree_rows(g)
+        for r in range(g.n):
+            for radius in range(7):
+                sets = [(), (r, r)]
+                packing = cover_or_packing(g, D, r, radius, min(2, g.n)).packing
+                if packing is not None:
+                    sets += [packing, packing[1:]]
+                for size in (2, 3, 5):
+                    sets.append(tuple(rng.below(g.n) for _ in range(size)))
+                for vertices in sets:
+                    expected = verify_packing(g, D, r, radius, vertices)
+                    assert verify_tree_packing(rows, r, radius, vertices) == expected
                     outcomes[expected] += 1
     assert min(outcomes.values()) >= 200

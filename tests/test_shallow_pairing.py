@@ -222,7 +222,7 @@ def test_max_matching_odd_cycle_blossom():
 def test_find_shallow_pairing_star():
     g = star_graph(4)
     D = apsp(g)
-    p = min_gamma_pairing(D, (1, 2, 3, 4))
+    p = min_gamma_pairing(D[[1, 2, 3, 4]], (1, 2, 3, 4))
     assert p.gamma_doubled == 0
     assert p.apex == 0
     assert p.pairs == ((1, 2), (3, 4))
@@ -231,7 +231,7 @@ def test_find_shallow_pairing_star():
 def test_find_shallow_pairing_repeated_profile():
     g = path_graph(5)
     D = apsp(g)
-    p = min_gamma_pairing(D, (0, 4, 0, 4))
+    p = min_gamma_pairing(D[[0, 4, 0, 4]], (0, 4, 0, 4))
     assert p.gamma_doubled == 0
     assert p.apex == 0  # first id admitting a matching
     assert p.pairs == ((0, 4), (0, 4))
@@ -240,7 +240,7 @@ def test_find_shallow_pairing_repeated_profile():
 def test_find_shallow_pairing_avoids_duplicate_pair():
     g = star_graph(3)
     D = apsp(g)
-    p = min_gamma_pairing(D, (1, 2, 3, 1))
+    p = min_gamma_pairing(D[[1, 2, 3, 1]], (1, 2, 3, 1))
     assert p.gamma_doubled == 0
     # (1|1)_0 = 1 > 0, so the two copies of leaf 1 cannot pair together
     assert p.apex == 0
@@ -251,7 +251,7 @@ def test_min_gamma_pairing_matches_exhaustive():
     g = cycle_graph(4)
     D = apsp(g)
     pi = (0, 1, 2, 3)
-    p = min_gamma_pairing(D, pi)
+    p = min_gamma_pairing(D[list(pi)], pi)
     assert p.gamma_doubled == brute_min_gamma(D, pi)
     for x, y in p.pairs:
         assert gromov_product(D, x, y, p.apex) <= p.gamma_doubled
@@ -262,7 +262,7 @@ def test_min_gamma_pairing_random_matches_exhaustive():
     for g in small_graph_corpus(8, 8, seed=81):
         D = apsp(g)
         pi = tuple(rng.below(g.n) for _ in range(4))
-        p = min_gamma_pairing(D, pi)
+        p = min_gamma_pairing(D[list(pi)], pi)
         assert p.gamma_doubled == brute_min_gamma(D, pi)
 
 
@@ -273,7 +273,7 @@ def test_min_gamma_zero_on_trees():
         D = apsp(g)
         for k in (1, 2, 3):
             pi = tuple(rng.below(g.n) for _ in range(2 * k))
-            assert min_gamma_pairing(D, pi).gamma_doubled == 0
+            assert min_gamma_pairing(D[list(pi)], pi).gamma_doubled == 0
 
 
 def test_pairing_invariants_random():
@@ -284,7 +284,7 @@ def test_pairing_invariants_random():
         gamma = 2 * tau + 1  # 2*tau + 1/2
         for k in (1, 2, 3):
             pi = tuple(rng.below(g.n) for _ in range(2 * k))
-            p = min_gamma_pairing(D, pi)
+            p = min_gamma_pairing(D[list(pi)], pi)
             # a pairing exists at this shallowness, and pairing graphs only
             # gain edges as gamma grows, so the least gamma is no larger
             assert p.gamma_doubled <= gamma
@@ -304,8 +304,8 @@ def test_apex_near_pair_geodesics():
         D = apsp(g)
         tau = 4 * four_point_delta(D)
         pi = tuple(rng.below(g.n) for _ in range(6))
-        p = min_gamma_pairing(D, pi)
-        for path in paths_of_pairing(g, D, p):
+        p = min_gamma_pairing(D[list(pi)], pi)
+        for path in paths_of_pairing(g, D[[y for _, y in p.pairs]], p):
             reach = min(int(D[p.apex, x]) for x in path)
             assert 2 * reach <= p.gamma_doubled + tau + 2
 
@@ -317,21 +317,21 @@ def test_apex_on_pair_geodesics_in_trees():
         g = random_tree(7 + 5 * seed, seed)
         D = apsp(g)
         pi = tuple(rng.below(g.n) for _ in range(6))
-        p = min_gamma_pairing(D, pi)
+        p = min_gamma_pairing(D[list(pi)], pi)
         assert p.gamma_doubled == 0
-        for path in paths_of_pairing(g, D, p):
+        for path in paths_of_pairing(g, D[[y for _, y in p.pairs]], p):
             assert p.apex in path
 
 
 def test_paths_of_pairing_examples():
     g = star_graph(4)
     D = apsp(g)
-    p = min_gamma_pairing(D, (1, 2, 3, 4))
-    assert paths_of_pairing(g, D, p) == ((1, 0, 2), (3, 0, 4))
+    p = min_gamma_pairing(D[[1, 2, 3, 4]], (1, 2, 3, 4))
+    assert paths_of_pairing(g, D[[y for _, y in p.pairs]], p) == ((1, 0, 2), (3, 0, 4))
     p5 = path_graph(5)
     D5 = apsp(p5)
-    pair = min_gamma_pairing(D5, (0, 4))
-    assert paths_of_pairing(p5, D5, pair) == ((0, 1, 2, 3, 4),)
+    pair = min_gamma_pairing(D5[[0, 4]], (0, 4))
+    assert paths_of_pairing(p5, D5[[y for _, y in pair.pairs]], pair) == ((0, 1, 2, 3, 4),)
 
 
 def test_total_and_pairing_distance_examples():
@@ -365,9 +365,9 @@ def test_weak_duality_random():
 def test_profile_validation():
     D = apsp(path_graph(4))
     with pytest.raises(ValueError):
-        min_gamma_pairing(D, (0,))
+        min_gamma_pairing(D[[0]], (0,))
     with pytest.raises(ValueError):
-        min_gamma_pairing(D, (0, 1, 2))
+        min_gamma_pairing(D[[0, 1, 2]], (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,7 @@ def test_min_gamma_pairing_matches_reference():
         for k in sorted({1, 2, 3, 5, min(24, g.n), 1 + rng.below(24)}):
             for pi in _profiles(rng, g.n, k):
                 expected = reference_min_gamma_pairing(D, pi)
-                assert min_gamma_pairing(D, pi) == expected
+                assert min_gamma_pairing(D[list(pi)], pi) == expected
                 positive += expected.gamma_doubled > 0
     assert positive >= 20
 
@@ -489,7 +489,7 @@ def test_min_gamma_pairing_screens_before_matching(monkeypatch):
     for seed in (1, 3, 5):
         g = random_connected(120, 144, seed)
         D = apsp(g)
-        pi = build_profile(best_root(g, D, 9), 9)
+        pi = build_profile(best_root(g, D.__getitem__, 9), 9)
 
         parent_calls = []
         with monkeypatch.context() as patch:
@@ -500,7 +500,7 @@ def test_min_gamma_pairing_screens_before_matching(monkeypatch):
         with monkeypatch.context() as patch:
             _record(patch, kgc.shallow_pairing, "perfect_matching", calls)
             _record(patch, kgc.shallow_pairing, "_adjacency_lists", graphs)
-            assert min_gamma_pairing(D, pi) == expected
+            assert min_gamma_pairing(D[list(pi)], pi) == expected
         assert graphs and all(H.any(axis=1).all() for H in graphs)
         assert all(_passes_leaf_screen(H) for H in graphs)
         assert len(calls) == len(graphs) < len(parent_calls)
@@ -577,13 +577,13 @@ def test_min_gamma_pairing_matches_reference_past_the_leaf_screen(monkeypatch):
         g = random_connected(50 + 10 * seed, 60 + 12 * seed, 900 + seed)
         D = apsp(g)
         k = 6 + rng.below(7)
-        for pi in (build_profile(best_root(g, D, k), k), *_profiles(rng, g.n, k)):
+        for pi in (build_profile(best_root(g, D.__getitem__, k), k), *_profiles(rng, g.n, k)):
             parent_calls, graphs = [], []
             with monkeypatch.context() as patch:
                 _record(patch, conftest, "reference_perfect_matching", parent_calls)
                 expected = reference_min_gamma_pairing(D, pi)
             with monkeypatch.context() as patch:
                 _record(patch, kgc.shallow_pairing, "_adjacency_lists", graphs)
-                assert min_gamma_pairing(D, pi) == expected
+                assert min_gamma_pairing(D[list(pi)], pi) == expected
             rejected += len(parent_calls) - len(graphs)
     assert rejected >= 200

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,14 @@ from kgc import (
     subdivide,
 )
 from kgc.solver import bound_range, build_profile
-from conftest import small_graph_corpus, solve_tree, tree_corpus
+from conftest import (
+    reference_best_root,
+    small_graph_corpus,
+    solve_from,
+    solve_tree,
+    tree_corpus,
+    tree_shapes,
+)
 
 
 def test_solve_path_k1():
@@ -208,3 +216,28 @@ def test_k1_on_cycles_within_bounds_of_closed_form_optimum():
     for n in (101, 150, 300, 512):
         res = solve(cycle_graph(n), 1)
         assert res.bounds.lower <= (n + 1) // 4 <= res.radius <= res.bounds.upper
+
+
+def test_tree_solve_matches_the_matrix_path():
+    # trees read rows of the tree index instead of apsp: the result must be
+    # the one built over the full matrix with the one-root-at-a-time
+    # search, with tau computed (0) and supplied, k = 1..5
+    for g in [*tree_corpus(30, 1, 120, seed=224), *tree_shapes()]:
+        D = apsp(g)
+        for k in range(1, min(5, g.n) + 1):
+            rooted = reference_best_root(g, D, k)
+            for tau in (None, 0, 3):
+                assert solve(g, k, tau_hat_doubled=tau) == solve_from(g, D, rooted, k, tau)
+
+
+def test_tree_solve_builds_no_square_matrix():
+    # a tree's solve holds rows of n entries and the pairing's (2k)^2 x n
+    # products, not apsp's 4 n^2 bytes
+    g = random_tree(3000, 1)
+    tracemalloc.start()
+    try:
+        solve(g, 3, tau_hat_doubled=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 4 * g.n**2
