@@ -387,18 +387,20 @@ def tree_rows(g: Graph):
     hop-distance rows, one int32 row of n entries per id, with no n x n
     matrix.
 
-    One pass from vertex 0 records each vertex's depth, preorder position
-    and subtree end, so every subtree is one run of preorder positions.
-    With depths counted from 1 at vertex 0, d(s, c) = dep(s) + dep(c) -
-    2 dep(lca(s, c)), and dep(lca(s, c)) is the number of ancestors of s,
-    s included, whose subtree holds c (Bender & Farach-Colton, "The LCA
-    problem revisited", LATIN 2000).  So per source one ``bincount`` puts
-    +1 at each ancestor's first position and -1 just past its subtree, and
-    one ``cumsum`` along preorder gives dep(lca) at every column.  A row
-    costs a few passes over n entries.
+    One pass from vertex 0 records each vertex's depth and preorder
+    position.  d(s, c) = dep(s) + dep(c) - 2 dep(lca(s, c)), and along a
+    preorder the lca is a range minimum (Bender & Farach-Colton, "The LCA
+    problem revisited", LATIN 2000): for positions p < q, dep(lca) is the
+    smaller of dep(p) and one less than the least depth at positions
+    p+1..q.  Those positions all lie in the lca's subtree below it, and
+    the lca's child towards the later vertex is one of them; when the
+    vertex at p is the lca itself, they are all deeper than it.  So a row
+    is two running minimums out from the source, forward and backward, and
+    a few more passes over n entries.
     """
     n = g.n
     parent = [-1] * n
+    depth = [0] * n
     order = []  # preorder from vertex 0
     todo = [0]
     while todo:
@@ -407,29 +409,29 @@ def tree_rows(g: Graph):
         for w in g.adjacency[v]:
             if w != parent[v]:
                 parent[w] = v
+                depth[w] = depth[v] + 1
                 todo.append(w)
-    depth, size = [1] * n, [1] * n
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
     pre = np.empty(n, dtype=np.intp)
     pre[order] = np.arange(n)
-    positions = np.arange(n)
-    ends = positions + np.array(size, dtype=np.intp)[order]  # one past each subtree
     dep = np.array(depth, dtype=np.int32)[order]  # by preorder position
 
     def rows(sources) -> np.ndarray:
         at = pre[np.asarray(sources, dtype=np.intp)]
-        # the ancestors of each source: positions at or before it whose
-        # subtree runs past it
-        line, anc = np.nonzero((positions <= at[:, None]) & (ends > at[:, None]))
-        line *= n + 1
-        cells = at.size * (n + 1)
-        lca = np.bincount(line + anc, minlength=cells) - np.bincount(line + ends[anc], minlength=cells)
-        lca = lca.reshape(at.size, n + 1)[:, :n].cumsum(axis=1)
-        d = dep[at, None] + dep - 2 * lca
-        return d[:, pre].astype(np.int32)
+        out = np.empty((at.size, n), dtype=np.int32)
+        lca = np.empty(n, dtype=np.int32)  # by preorder position
+        for row, p in zip(out, at.tolist()):
+            after, before = lca[p + 1 :], lca[:p]
+            np.minimum.accumulate(dep[p + 1 :], out=after)
+            np.minimum.accumulate(dep[p:0:-1], out=before[::-1])
+            lca -= 1
+            np.minimum(after, dep[p], out=after)
+            np.minimum(before, dep[:p], out=before)
+            lca[p] = dep[p]
+            lca *= -2
+            lca += dep
+            lca += dep[p]
+            np.take(lca, pre, out=row)
+        return out
 
     return rows
 

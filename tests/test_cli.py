@@ -731,21 +731,40 @@ def test_tree_commands_build_no_distance_matrix(tmp_path, capsys, monkeypatch):
 
 def test_tree_verify_matches_the_matrix_path(tmp_path, capsys, monkeypatch):
     # verify's report on a tree, from rows of the index, is byte for byte
-    # the report of the matrix path, forced by treating the tree as cyclic
+    # the report of the matrix path, forced by treating the tree as cyclic:
+    # solved artifacts at their radius and one below, and artifacts with
+    # the witness, the pairing apex or a path edited
+    def edits(n):
+        yield lambda d: None
+        yield lambda d: d["rooted"]["packing_witness"] and d["rooted"]["packing_witness"].update(
+            vertices=[(v + 1) % n for v in d["rooted"]["packing_witness"]["vertices"]])
+        yield lambda d: d["pairing"].update(apex=(d["pairing"]["apex"] + 1) % n)
+        yield lambda d: d["paths"][0].reverse()
+        yield lambda d: d["paths"][0].append(d["paths"][0][0])
+
     trees = [*tree_corpus(12, 1, 120, seed=225), *tree_shapes()]
     artifacts = []
     for i, g in enumerate(trees):
         gpath = write_graph(tmp_path, g, f"t{i}.txt")
         for k, options in ((1, ()), (min(3, g.n), ("--tau-hat-doubled", "0"))):
-            solved = str(tmp_path / f"t{i}k{k}.json")
-            assert run_cli(capsys, "solve", "-g", gpath, "-k", str(k), "-o", solved, *options)[0] == 0
-            radius = json.loads(Path(solved).read_text())["radius"]
-            for claimed in (radius, radius - 1):
-                artifacts.append(("verify", "-g", gpath, "--cover", solved, "--radius", str(claimed)))
+            solved = tmp_path / f"t{i}k{k}.json"
+            assert run_cli(capsys, "solve", "-g", gpath, "-k", str(k), "-o", str(solved), *options)[0] == 0
+            for j, edit in enumerate(edits(g.n)):
+                data = json.loads(solved.read_text())
+                edit(data)
+                edited = tmp_path / f"t{i}k{k}e{j}.json"
+                edited.write_text(json.dumps(data))
+                for claimed in (data["radius"], data["radius"] - 1):
+                    artifacts.append(("verify", "-g", gpath, "--cover", str(edited),
+                                      "--radius", str(claimed)))
     on_tree = [run_cli(capsys, *argv)[:2] for argv in artifacts]
     monkeypatch.setattr(Graph, "is_tree", lambda self: False)
     assert [run_cli(capsys, *argv)[:2] for argv in artifacts] == on_tree
+    reports = [json.loads(out) for _, out in on_tree]
     assert {code for code, _ in on_tree} == {0, 1}
+    assert not all(r["cover"]["isometric"] for r in reports)
+    assert not all(r["pairing"]["ok"] for r in reports)
+    assert not all(r.get("packing", {"ok": True})["ok"] for r in reports)
 
 
 def _artifact_from_root(g, k, root, tau_hat_doubled):
