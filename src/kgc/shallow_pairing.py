@@ -154,9 +154,11 @@ def perfect_matching(H: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     return tuple(pairs)
 
 
-# Stands in for the excluded (i, i) products: above every real product (at
-# most 2(n-1)), so no position is ever paired with itself.
-_NO_PAIR = np.iinfo(np.int32).max
+# Product cells built at once: the apexes go in chunks of _CELLS // (2k)^2
+# (one apex where its own (2k)^2 cells are more).  From 2^14 to 2^20 cells
+# the search took about the same time, while its memory grows with the
+# chunk (README).
+_CELLS = 1 << 16
 
 
 def min_gamma_pairing(dv: np.ndarray, pi: Profile) -> Pairing:
@@ -169,33 +171,90 @@ def min_gamma_pairing(dv: np.ndarray, pi: Profile) -> Pairing:
     Feasibility only changes at achieved Gromov-product values, so only
     those are probed, in ascending order; the largest product always
     succeeds (the pairing graph is then complete at any apex).  At each
-    one, two screens run over all apexes at once before any matching: no
-    position may be isolated, and no two positions of degree 1 may share
-    their only neighbour, since a perfect matching pairs each with it.
-    Each apex that passes gets one ``perfect_matching`` call, whose
-    existence test rejects it or whose extraction is the answer.
+    one, two screens drop apexes before any matching: no position may be
+    isolated, and no two positions of degree 1 may share their only
+    neighbour, since a perfect matching pairs each with it.  Each apex that
+    passes gets one ``perfect_matching`` call on its pairing graph, whose
+    existence test rejects it or whose extraction is the answer; the graphs
+    are built from the passing apexes' columns of ``dv``, a chunk at a
+    time.
+
+    The screens need, per position i and apex v, only the least product
+    over the other positions (the gamma from which i is not isolated), its
+    least partner, and the second least product with repeats (i has degree
+    1 exactly below it, its partner being its one neighbour).  One pass
+    over the apexes, in chunks of ``_CELLS`` product cells, reduces each
+    chunk to those summaries and counts its achieved products, so no array
+    grows with (2k)^2 n.  A product p with partner j is keyed
+    (p << shift) + j, in the least unsigned dtype that holds a sentinel
+    above every key, so one min over partners gives both; with the
+    diagonal and that partner set to the sentinel, a second min gives the
+    second least.  The distances are cast to that dtype before any sum (no
+    sum of two of them exceeds it), and differences wrap modulo its range,
+    so every key is exact whatever the dtype of ``dv``.
     """
-    if len(pi) < 2 or len(pi) % 2 != 0:
-        raise ValueError(f"profile length must be even and >= 2, got {len(pi)}")
-    # the doubled Gromov products (pi[i]|pi[j])_v as an int32 (i, j, v) tensor
-    members = np.asarray(pi, dtype=np.int64)
-    cross = dv[:, members]
-    prod = dv[:, None, :] + dv[None, :, :] - cross[:, :, None]
-    positions = np.arange(len(members))
-    prod[positions, positions, :] = _NO_PAIR
-    iu = np.triu_indices(len(pi), k=1)
-    achieved = np.bincount(prod[iu].ravel())  # products are >= 0
-    for doubled in achieved.nonzero()[0].tolist():
-        H = prod <= doubled
-        # int32 sums: numpy's default int64 accumulator makes the screen twice as slow
-        degree = H.sum(axis=1, dtype=np.int32)
-        leaf = degree == 1
-        shared = (leaf[:, None, :] & H).sum(axis=0, dtype=np.int32).max(axis=0) > 1
-        for v in ((degree.min(axis=0) > 0) & ~shared).nonzero()[0].tolist():
-            matched = perfect_matching(H[:, :, v])
-            if matched is not None:
-                pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
-                return Pairing(apex=v, gamma_doubled=doubled, pairs=tuple(pairs))
+    size = len(pi)
+    if size < 2 or size % 2 != 0:
+        raise ValueError(f"profile length must be even and >= 2, got {size}")
+    n = dv.shape[1]
+    shift = (size - 1).bit_length()
+    partner = (1 << shift) - 1  # the key bits that hold the partner
+    top = (2 * n - 1) << shift  # above every key: products are at most 2(n-1)
+    dtype = np.min_scalar_type(top)
+    step = max(1, _CELLS // size**2)
+    # the innermost memory axis: the chunk's apexes, or the positions when a
+    # chunk holds fewer than half as many apexes (measured faster there)
+    wide = 2 * step >= size
+    rows = dv.astype(dtype) if wide else dv.T.astype(dtype, order="C").T
+    rows <<= shift
+    positions = np.arange(size)
+    # cross[j, i] = (d(pi[i], pi[j]) << shift) - j, so rows[i, v] + rows[j, v]
+    # - cross[j, i] is the key of pair (i, j) at apex v
+    cross = rows[:, list(pi)] - positions.astype(dtype)[:, None]
+    lower = np.tri(size, k=-1, dtype=bool)[:, :, None]  # pairs j > i, each pair once
+    once = None  # lower, broadcast over a chunk in the memory order of its keys
+    least = np.empty_like(rows)  # per (position, apex): least key
+    second = np.empty_like(rows)  # and the least key past it
+    achieved = np.zeros(2 * n - 1, dtype=np.intp)
+    for lo in range(0, n, step):
+        part = rows[:, lo : lo + step]
+        width = part.shape[1]
+        keys = np.empty((size, size, width) if wide else (size, width, size), dtype)
+        if not wide:
+            keys = keys.transpose(0, 2, 1)
+        np.add(part, part[:, None, :], out=keys)  # keys[j, i, v], partner j outermost
+        keys -= cross[:, :, None]
+        if once is None or once.shape != keys.shape:  # first chunk, shorter last one
+            once = np.empty_like(keys, dtype=bool)
+            once[...] = lower
+        found = keys.ravel("K")[once.ravel("K")]
+        found >>= shift
+        achieved += np.bincount(found, minlength=len(achieved))
+        keys[positions, positions] = top
+        first = keys.min(axis=0)
+        keys[first & partner, positions[:, None], np.arange(width)] = top
+        least[:, lo : lo + step] = first
+        second[:, lo : lo + step] = keys.min(axis=0)
+    need = least.max(axis=0) >> shift  # per apex, the least gamma with no isolated position
+    # (partner, apex) slots of the least keys, to count shared partners
+    slot = (least & partner).astype(np.intp) * n + np.arange(n)
+    off_diagonal = ~np.eye(size, dtype=bool)
+    levels = achieved.nonzero()[0]
+    for doubled in levels[levels >= need.min()].tolist():
+        bound = (doubled + 1) << shift  # a key is below it iff its product is <= doubled
+        leaf = second >= bound
+        shared = np.bincount(slot[leaf], minlength=slot.size).reshape(size, n).max(axis=0) > 1
+        passing = ((need <= doubled) & ~shared).nonzero()[0]
+        for lo in range(0, len(passing), step):
+            apexes = passing[lo : lo + step]
+            cols = rows[:, apexes].T
+            graphs = cols[:, :, None] + cols[:, None, :] - cross < bound  # graphs[t, i, j]
+            graphs &= off_diagonal
+            for v, H in zip(apexes.tolist(), graphs):
+                matched = perfect_matching(H)
+                if matched is not None:
+                    pairs = sorted(tuple(sorted((pi[i], pi[j]))) for i, j in matched)
+                    return Pairing(apex=v, gamma_doubled=doubled, pairs=tuple(pairs))
     raise AssertionError("unreachable: complete pairing graph at max product")
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from kgc import (
     apsp,
     cycle_graph,
     four_point_delta,
+    grid_graph,
     path_graph,
     random_connected,
     random_tree,
@@ -14,9 +17,10 @@ from kgc import (
 )
 import conftest
 import kgc.shallow_pairing
-from kgc.graph_core import SplitMix64, _adjacency_lists
+from kgc.graph_core import SplitMix64, _adjacency_lists, tree_rows
 from kgc.rooted_cover import best_root
 from kgc.shallow_pairing import (
+    Pairing,
     min_gamma_pairing,
     paths_of_pairing,
     perfect_matching,
@@ -587,3 +591,60 @@ def test_min_gamma_pairing_matches_reference_past_the_leaf_screen(monkeypatch):
                 assert min_gamma_pairing(D[list(pi)], pi) == expected
             rejected += len(parent_calls) - len(graphs)
     assert rejected >= 200
+
+
+# ---------------------------------------------------------------------------
+# The product pass in apex chunks
+# ---------------------------------------------------------------------------
+
+
+def test_min_gamma_pairing_matches_reference_across_chunk_boundaries(monkeypatch):
+    # one apex per chunk, and chunks of a few apexes whose last one is cut
+    # short, over the reference corpus and cyclic-wide shapes
+    rng = SplitMix64(1212)
+    cyclic = [random_connected(50 + 10 * s, 60 + 12 * s, 900 + s) for s in range(6)]
+    for g in [*_pairing_corpus(), *cyclic]:
+        D = apsp(g)
+        width = next((w for w in range(2, g.n) if g.n % w), 1)
+        for k in sorted({1, 2, 5, min(24, g.n), 1 + rng.below(24)}):
+            for pi in _profiles(rng, g.n, k):
+                expected = reference_min_gamma_pairing(D, pi)
+                for cells in (1, width * len(pi) ** 2):
+                    monkeypatch.setattr(kgc.shallow_pairing, "_CELLS", cells)
+                    assert min_gamma_pairing(D[list(pi)], pi) == expected
+
+
+def test_min_gamma_pairing_widens_int16_rows():
+    # the products reach 2(n - 1) = 32798, past int16: the rows are cast to
+    # a dtype that holds every sum before any sum, so int16 rows give the
+    # pairing int32 rows give
+    g = path_graph(16400)
+    pi = (0, 0, 16399, 16399)
+    rows = tree_rows(g)(list(pi))
+    expected = Pairing(apex=0, gamma_doubled=0, pairs=((0, 16399), (0, 16399)))
+    assert min_gamma_pairing(rows.astype(np.int32), pi) == expected
+    assert min_gamma_pairing(rows.astype(np.int16), pi) == expected
+
+
+def test_min_gamma_pairing_memory_is_bounded_by_chunk_and_profile_rows():
+    # The whole int32 (2k)^2 n product tensor takes 3.2 MB at k = 15 and
+    # 13 MB at k = 30 on this grid.  The search holds one chunk of _CELLS
+    # product keys with its pair mask and the copies its achieved count
+    # makes (under 16 bytes a cell), and per position and apex its keyed
+    # rows, two summaries, the partner slots and the screens' temporaries
+    # (under 48 bytes).
+    g = grid_graph(30, 30)
+    D = apsp(g)
+    rng = SplitMix64(3131)
+    for k in (15, 30):
+        bound = 16 * kgc.shallow_pairing._CELLS + 48 * 2 * k * g.n
+        assert bound < 4 * (2 * k) ** 2 * g.n
+        for pi in _profiles(rng, g.n, k):
+            dv = D[list(pi)]
+            tracemalloc.start()
+            try:
+                min_gamma_pairing(dv, pi)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound

@@ -231,8 +231,8 @@ def test_tree_solve_matches_the_matrix_path():
 
 
 def test_tree_solve_builds_no_square_matrix():
-    # a tree's solve holds rows of n entries and the pairing's (2k)^2 x n
-    # products, not apsp's 4 n^2 bytes
+    # a tree's solve holds rows of n entries, the pairing's per-position
+    # summaries and one chunk of its products, not apsp's 4 n^2 bytes
     g = random_tree(3000, 1)
     tracemalloc.start()
     try:
