@@ -388,8 +388,8 @@ def main(argv=None) -> int:
         # parser, so a replaced ``cmd_*`` (as the benchmark's tracer does)
         # takes effect
         return globals()[f"cmd_{args.command}"](args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except (GraphFormatError, GraphValidationError, ValueError, OSError,
             json.JSONDecodeError) as exc:

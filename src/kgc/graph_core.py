@@ -302,9 +302,11 @@ def subdivide(g: Graph, length: int) -> Graph:
 
 
 def apsp(g: Graph) -> np.ndarray:
-    """Exact hop distances as a read-only n x n int32 array: a
-    breadth-first search of the 2-core only, and a row recurrence across
-    bridges for the trees that hang from it.
+    """Exact hop distances as a read-only n x n array: a breadth-first
+    search of the 2-core only, and a row recurrence across bridges for the
+    trees that hang from it.  Every distance is below n, so the array is
+    int16 when n < 2^15 and int32 otherwise; this is the one place the
+    distance dtype is chosen.
 
     Vertices of degree 1 are peeled until none is left, or on a tree until
     one vertex is left; each peeled vertex hangs from the one neighbour
@@ -343,10 +345,12 @@ def apsp(g: Graph) -> np.ndarray:
     cid = [-1] * n
     for i, v in enumerate(core):
         cid[v] = i
+    dtype = np.int16 if n < 2**15 else np.int32
     # after peeling, a core vertex's degree counts its core neighbours only
     core_d = _bfs(
         np.fromiter((deg[v] for v in core), dtype=np.int64, count=len(core)),
         np.fromiter((cid[w] for v in core for w in adj[v] if cid[w] >= 0), dtype=np.int64),
+        dtype,
     )
     if len(core) == n:
         core_d.setflags(write=False)
@@ -366,9 +370,9 @@ def apsp(g: Graph) -> np.ndarray:
     for v in reversed(order):
         size[parent[v]] += size[v]
 
-    d = np.empty((n, n), dtype=np.int32)
+    d = np.empty((n, n), dtype=dtype)
     anchor_col = np.array(anchor, dtype=np.intp)
-    depth_col = np.array(depth, dtype=np.int32)
+    depth_col = np.array(depth, dtype=dtype)
     for i, a in enumerate(core):
         row = d[a]
         np.take(core_d[i], anchor_col, out=row)
@@ -445,11 +449,12 @@ def tree_eccentricities(rows) -> np.ndarray:
     return np.maximum(from_a, rows([int(from_a.argmax())])[0])
 
 
-def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
+def _bfs(deg: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
     """Hop distances of a connected graph in CSR form (vertex v's
     neighbours are the ``deg[v]`` entries of ``indices`` after those of
     vertices 0..v-1): one breadth-first search from all sources at once,
-    as a writeable int32 matrix.
+    as a writeable matrix of the signed integer ``dtype``, which must hold
+    n - 1.
 
     Level-synchronous over a flat frontier of cells ``source*n + vertex``:
     each level expands the frontier through CSR neighbour arrays, keeps the
@@ -461,7 +466,7 @@ def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
     n = deg.size
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
-    flat = np.full(n * n, -1, dtype=np.int32)
+    flat = np.full(n * n, -1, dtype=dtype)
     frontier = np.arange(0, n * n, n + 1, dtype=np.intp)  # the diagonal
     flat[frontier] = 0
     level = 0
@@ -477,8 +482,12 @@ def _bfs(deg: np.ndarray, indices: np.ndarray) -> np.ndarray:
             cells = np.repeat(part - vertex, counts) + indices[pos]
             cells = cells[flat[cells] < 0]
             # deduplicate without sorting: of the slots naming the same cell,
-            # exactly one reads back its own stamp
-            stamp = np.arange(cells.size, dtype=np.int32)
+            # one reads back its own stamp.  Stamps wrap in a narrow dtype; a
+            # piece of an int16 search has under 2^14 + max degree < 2^16
+            # slots, so its stamps stay distinct.  A repeated stamp could
+            # only keep a cell twice, which costs work, never a distance:
+            # every stamped cell has a winner, and it gets ``level``.
+            stamp = np.arange(cells.size).astype(dtype)
             flat[cells] = stamp
             cells = cells[flat[cells] == stamp]
             flat[cells] = level

@@ -128,11 +128,11 @@ class _Greedy:
     killed.  One row-wise argmax per step gives every running root its
     farthest alive vertex (ties to the lowest id), then the kill rows of
     all of them are built at once.  Callers pass at most ``max_roots()``
-    roots, so score and kill rows stay under ``_CELLS`` cells.  Off trees,
-    distances are read from an int16 copy of every row (half the bytes of
-    ``D``) when they fit, which halves the memory traffic of the kill rows;
-    a tree's runs are one root of at most 2k steps, so they read only the
-    rows of the root and of each pick.
+    roots, so score and kill rows stay under ``_CELLS`` cells.  Rows are
+    read as given, in place: ``apsp``'s int16 rows below 2^15 vertices
+    halve the memory traffic of the kill rows.  A tree's runs are one root
+    of at most 2k steps, so they read only the rows of the root and of
+    each pick.
 
     On a tree, and at radius 0 on any graph, a pick v kills exactly the u
     with d(u,v) - |d(r,u) - d(r,v)| <= 2R: one distance test per vertex.
@@ -149,11 +149,6 @@ class _Greedy:
     def __init__(self, rows, n: int, tree: bool):
         self.n = n
         self.tree = tree
-        if not tree and n < 2**15:
-            d = np.empty((n, n), dtype=np.int16)
-            for part in _slices(n, n):
-                d[part] = rows(np.arange(n)[part])
-            rows = d.__getitem__
         self.rows = rows
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
@@ -472,7 +467,7 @@ def best_root(g: Graph, rows, k: int) -> RootedSolution:
     once, for the winning root.
 
     On a tree the search reads a few distance rows and holds a few arrays
-    of n entries.  Off trees it holds an int16 copy of the rows,
+    of n entries.  Off trees it reads the rows in place and holds
     temporaries under the cell budget and the packed ball rows of the last
     radius it probed (n*n/8 bytes).
     """

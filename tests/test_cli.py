@@ -694,6 +694,21 @@ def test_unknown_command_exit_one(capsys):
     assert code == 1
 
 
+def test_memory_error_exits_cap_with_one_line(tmp_path, capsys, monkeypatch):
+    # numpy's failed allocation and a bare MemoryError both end in one
+    # error line and exit 2, as a resource cap does, with no traceback
+    gpath = write_graph(tmp_path, cycle_graph(9), "c9.txt")
+    for exc in (MemoryError("Unable to allocate 763. MiB for an array"), MemoryError()):
+        def fail(g, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(kgc.cli, "apsp", fail)
+        code, out, err = run_cli(capsys, "delta", "-g", gpath)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(exc) in err and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 

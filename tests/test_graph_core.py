@@ -264,7 +264,7 @@ def _apsp_corpus():
 def _assert_apsp_matches_reference(g):
     D = apsp(g)
     assert D.shape == (g.n, g.n)
-    assert D.dtype == np.int32
+    assert D.dtype == np.int16  # every corpus graph has n < 2^15
     assert not D.flags.writeable
     assert np.array_equal(D, reference_apsp(g))
 
@@ -283,6 +283,44 @@ def test_apsp_matches_reference_bfs_in_tiny_slices(monkeypatch):
         _assert_apsp_matches_reference(g)
 
 
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``g``'s degrees and its neighbour lists end to end, as _bfs reads them."""
+    deg = np.array([len(ns) for ns in g.adjacency], dtype=np.int64)
+    return deg, np.array([w for ns in g.adjacency for w in ns], dtype=np.int64)
+
+
+def test_bfs_writes_the_same_distances_in_int16_and_int32():
+    # the whole graph, with no peeling, searched in both dtypes; the
+    # corpus's long paths are left to apsp's tests
+    for g in _apsp_corpus():
+        if g.n <= 150:
+            narrow = graph_core._bfs(*_csr(g), np.int16)
+            wide = graph_core._bfs(*_csr(g), np.int32)
+            assert narrow.dtype == np.int16 and wide.dtype == np.int32
+            assert np.array_equal(narrow, wide)
+            assert np.array_equal(wide, reference_apsp(g))
+
+
+def test_apsp_is_exact_when_int16_stamps_repeat(monkeypatch):
+    # with 2^18-cell slices, a piece of this dense graph's second level
+    # holds more than 2^16 candidate cells, so its int16 dedupe stamps
+    # repeat; a repeat may keep a cell twice but never gives a wrong
+    # distance
+    monkeypatch.setattr(graph_core, "_APSP_SLICE", 1 << 18)
+    slices = graph_core._frontier_slices
+    widest = []
+
+    def spy(frontier, n, deg):
+        for part in slices(frontier, n, deg):
+            widest.append(int(deg[part % n].sum()))
+            yield part
+
+    monkeypatch.setattr(graph_core, "_frontier_slices", spy)
+    g = random_connected(200, 8000, 1)
+    _assert_apsp_matches_reference(g)
+    assert max(widest) > 1 << 16
+
+
 def _two_core(g: Graph) -> list[int]:
     """Vertices left after deleting vertices of degree at most 1 until none
     is left (empty for a tree)."""
@@ -298,10 +336,10 @@ def test_apsp_searches_only_the_two_core(monkeypatch):
     seen = []
     search = graph_core._bfs
 
-    def spy(deg, indices):
+    def spy(deg, indices, dtype):
         sources = np.repeat(np.arange(deg.size), deg)
         seen.append((deg.size, set(zip(sources.tolist(), indices.tolist()))))
-        return search(deg, indices)
+        return search(deg, indices, dtype)
 
     monkeypatch.setattr(graph_core, "_bfs", spy)
     for g in _apsp_corpus():
@@ -318,16 +356,25 @@ def test_apsp_searches_only_the_two_core(monkeypatch):
 
 
 def test_apsp_memory_beyond_the_matrix():
-    # one search over all n sources peaks at about 1.36x on the tree and
-    # 2.3x on the cyclic graph; a permuted copy of the matrix would add 1x
-    for g, bound in ((random_tree(700, 3), 1.5), (random_connected(350, 420, 1), 2.5)):
+    # bounds in units of 4 n^2 bytes, an int32 matrix: with its int16
+    # matrix, apsp peaks at about 0.56 of that on the tree and 2.15 on the
+    # small cyclic graph, where the search's sliced temporaries dominate; a
+    # permuted copy of the matrix would add 0.5.  On the 60x60 grid, with
+    # no vertex of degree 1, the search's matrix is the result: 2.51 n^2
+    # bytes, where an int32 matrix peaked at 4.51 n^2
+    cases = (
+        (random_tree(700, 3), 1.5 * 4),
+        (random_connected(350, 420, 1), 2.5 * 4),
+        (grid_graph(60, 60), 3.0),
+    )
+    for g, bound in cases:
         tracemalloc.start()
         try:
-            D = apsp(g)
+            apsp(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bound * D.nbytes
+        assert peak <= bound * g.n**2
 
 
 def test_tree_rows_match_apsp():

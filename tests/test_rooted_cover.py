@@ -352,9 +352,9 @@ def test_tree_flag_is_false_off_trees(monkeypatch):
 
 
 def test_greedy_reads_int32_distances_in_place():
-    # from n = 2^15 on, and on every tree, _Greedy reads D as given (int32)
-    # instead of an int16 copy; force both sides on small graphs, tree and
-    # general kill
+    # _Greedy reads rows as given: apsp's int16 rows below n = 2^15, its
+    # int32 rows from there on; force the int32 side on small graphs, tree
+    # and general kill
     graphs = [
         *tree_corpus(8, 3, 40, seed=193),
         *small_graph_corpus(10, 30, seed=194, max_m=45),
@@ -363,16 +363,14 @@ def test_greedy_reads_int32_distances_in_place():
     ]
     for g in graphs:
         D = apsp(g)
-        copied = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
-        copied.rows = D.astype(np.int16).__getitem__
-        in_place = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
-        in_place.rows = D.__getitem__
-        assert copied.rows([0]).dtype == np.int16 and in_place.rows([0]).dtype == np.int32
+        narrow = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
+        in_place = kgc.rooted_cover._Greedy(D.astype(np.int32).__getitem__, g.n, g.is_tree())
+        assert narrow.rows([0]).dtype == np.int16 and in_place.rows([0]).dtype == np.int32
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
                 covered, picks = in_place.run(roots, radius, k)
-                expected_covered, expected_picks = copied.run(roots, radius, k)
+                expected_covered, expected_picks = narrow.run(roots, radius, k)
                 assert (covered == expected_covered).all()
                 assert picks == expected_picks
 
@@ -558,10 +556,19 @@ def test_best_root_covers_mid_chunk(monkeypatch):
 
 
 def test_best_root_allocates_no_square_matrices():
-    # per-root or per-radius n x n temporaries would push the peak past D;
-    # a tree keeps no int16 copy and no D == 1 scan, only arrays of n
-    # entries and the two one-root greedy runs
-    for g, bound in ((random_tree(700, 3), 0.1), (random_connected(400, 480, 3), 3.5)):
+    # bounds in units of 4 n^2 bytes, an int32 matrix: per-root or
+    # per-radius n x n temporaries would push the peak past it.  A tree
+    # keeps only arrays of n entries and the two one-root greedy runs.  On
+    # the small cyclic graph the cell-budget temporaries dominate; on the
+    # 40x40 grid, the root search reads D in place and holds its packed
+    # ball rows (n^2 / 8 bytes) and those temporaries: 0.38 n^2 bytes,
+    # where an int16 copy of D peaked at 2.38 n^2
+    cases = (
+        (random_tree(700, 3), 0.1 * 4),
+        (random_connected(400, 480, 3), 3.5 * 4),
+        (grid_graph(40, 40), 1.0),
+    )
+    for g, bound in cases:
         D = apsp(g)
         tracemalloc.start()
         try:
@@ -569,7 +576,7 @@ def test_best_root_allocates_no_square_matrices():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= bound * D.nbytes
+        assert peak <= bound * g.n**2
 
 
 def test_verify_packing_matches_pairwise_reference():

@@ -15,6 +15,7 @@ from kgc import (
     exact_optimum,
     family_eccentricity,
     four_point_delta,
+    grid_graph,
     is_isometric,
     path_graph,
     random_tree,
@@ -241,3 +242,18 @@ def test_tree_solve_builds_no_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * 4 * g.n**2
+
+
+def test_cyclic_solve_holds_one_two_byte_matrix():
+    # apsp's int16 matrix (2 n^2 bytes), read in place by the root search,
+    # the packed ball rows (n^2 / 8) and the stages' temporaries: 2.87 n^2
+    # bytes on the 40x40 grid, where an int32 matrix and the root search's
+    # int16 copy of it peaked at 6.39 n^2.  tau is 8 times the diameter 78
+    g = grid_graph(40, 40)
+    tracemalloc.start()
+    try:
+        solve(g, 3, tau_hat_doubled=624)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * g.n**2
