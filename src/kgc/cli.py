@@ -35,10 +35,9 @@ from .geodesics import family_eccentricity, is_isometric
 from .oracle import OracleCaps, exact_optimum
 from .rooted_cover import (
     RootedSolution,
-    greedy_outcome,
+    cover_or_packing,
     tree_radius_is_least,
     verify_packing,
-    verify_tree_packing,
 )
 from .solver import bound_range, build_profile, solve
 
@@ -134,11 +133,11 @@ def _field(obj, key: str):
     return obj.get(key) if isinstance(obj, dict) else None
 
 
-def _max_product(rows, pairs, apex: int) -> int:
+def _max_product(dist, pairs, apex: int) -> int:
     """The largest doubled Gromov product (x|y)_apex over the pairs, from
     the rows of the apex and of each pair's first vertex."""
-    at_apex = rows([apex])[0]
-    firsts = rows([x for x, _ in pairs])
+    at_apex = dist[apex]
+    firsts = dist[[x for x, _ in pairs]]
     return max(int(at_apex[x]) + int(at_apex[y]) - int(d[y]) for (x, y), d in zip(pairs, firsts))
 
 
@@ -161,20 +160,7 @@ def cmd_verify(args) -> int:
 
     # a tree's distances come row by row from its index, with no matrix
     tree = g.is_tree()
-    D = None if tree else apsp(g)
-    rows = tree_rows(g) if tree else D.__getitem__
-
-    def geodesic(p) -> bool:
-        """``is_isometric``; on a tree, where the one path between two
-        vertices is their geodesic, a walk along edges of ``g`` that
-        repeats no vertex."""
-        if not tree:
-            return is_isometric(D, p)
-        return (
-            len(p) > 0
-            and len(set(p)) == len(p)
-            and all(b in g.adjacency[a] for a, b in zip(p, p[1:]))
-        )
+    dist = tree_rows(g) if tree else apsp(g)
 
     # a malformed field fails its check instead of raising: paths must be
     # lists of vertex ids, the root and the witness members vertex ids, and
@@ -182,7 +168,7 @@ def cmd_verify(args) -> int:
     count = len(paths) if isinstance(paths, list) else None
     shaped = count is not None and all(_is_vertex_list(p, g.n) for p in paths)
     within_k = count is not None and count <= k
-    isometric = shaped and all(geodesic(p) for p in paths)
+    isometric = shaped and all(is_isometric(g, dist, p) for p in paths)
     ecc = family_eccentricity(g, paths) if shaped and any(paths) else None
     # the artifact's own radius (a solve's radius or an exact optimum) must
     # equal the paths' eccentricity, which --radius only bounds
@@ -221,14 +207,14 @@ def cmd_verify(args) -> int:
             and 0 < count <= 2 * k - 1
             and _is_vertex(root, g.n)
             and all(
-                _is_vertex_list(p, g.n) and p[:1] == [root] and geodesic(p)
+                _is_vertex_list(p, g.n) and p[:1] == [root] and is_isometric(g, dist, p)
                 for p in rooted_cover
             )
             and type(rooted_radius) is int
             and rooted_radius >= 0
-            and greedy_outcome(g, rows, root, rooted_radius, k).cover
+            and cover_or_packing(g, dist, root, rooted_radius, k).cover
             == tuple(map(tuple, rooted_cover))
-            and (not tree or tree_radius_is_least(g, rows, rooted_radius, k))
+            and (not tree or tree_radius_is_least(g, dist, rooted_radius, k))
         )
         report["rooted"] = {"paths": count, "ok": rooted_ok}
         ok = ok and rooted_ok
@@ -253,7 +239,7 @@ def cmd_verify(args) -> int:
             == sorted(build_profile(RootedSolution(root, rooted_radius, rooted_cover, None), k))
             and _is_vertex(apex, g.n)
             and type(gamma) is int
-            and _max_product(rows, pairs, apex) == gamma
+            and _max_product(dist, pairs, apex) == gamma
         )
         report["pairing"] = {
             "pairs": len(pairs) if isinstance(pairs, list) else None,
@@ -276,11 +262,7 @@ def cmd_verify(args) -> int:
             and type(rooted_radius) is int
             and witness_radius == rooted_radius - 1
         )
-        packing_ok = shape_ok and (
-            verify_tree_packing(rows, root, witness_radius, vertices)
-            if tree
-            else verify_packing(g, D, root, witness_radius, vertices)
-        )
+        packing_ok = shape_ok and verify_packing(g, dist, root, witness_radius, vertices)
         report["packing"] = {
             "root": root,
             "R": witness_radius,
@@ -309,7 +291,7 @@ def cmd_verify(args) -> int:
         # bound on the paths' radius; a supplied one only if it holds, which
         # verify cannot tell
         if bounds_ok and source == "computed":
-            delta = 0 if tree else four_point_delta(D)
+            delta = 0 if tree else four_point_delta(dist)
             bounds_ok = tau == 4 * delta and (ecc is None or ecc <= upper)
         report["bounds"] = {"lower": lower, "upper": upper, "ok": bounds_ok}
         ok = ok and bounds_ok

@@ -50,15 +50,16 @@ def shortest_path(g: Graph, to_v: np.ndarray, u: int) -> VertexPath:
     return tuple(path)
 
 
-def is_isometric(D: np.ndarray, path: Sequence[int]) -> bool:
-    """True iff consecutive vertices are adjacent and the endpoint distance
-    equals the edge count (which forces all intermediate distances too)."""
-    if len(path) == 0:
-        return False
-    for a, b in zip(path, path[1:]):
-        if D[a, b] != 1:
-            return False
-    return int(D[path[0], path[-1]]) == len(path) - 1
+def is_isometric(g: Graph, dist, path: Sequence[int]) -> bool:
+    """True iff consecutive vertices are adjacent in ``g`` and the endpoint
+    distance equals the edge count (which forces all intermediate
+    distances too), read from one row of ``dist`` (``apsp(g)`` or
+    ``tree_rows(g)``)."""
+    return (
+        len(path) > 0
+        and all(b in g.adjacency[a] for a, b in zip(path, path[1:]))
+        and int(dist[path[0]][path[-1]]) == len(path) - 1
+    )
 
 
 def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:

@@ -386,10 +386,10 @@ def apsp(g: Graph) -> np.ndarray:
     return d
 
 
-def tree_rows(g: Graph):
-    """On a tree: a function that maps a sequence of vertex ids to their
-    hop-distance rows, one int32 row of n entries per id, with no n x n
-    matrix.
+def tree_rows(g: Graph) -> _TreeRows:
+    """On a tree: an index that ``[ids]`` turns into those vertices'
+    hop-distance rows, as ``apsp(g)[ids]`` would, one int32 row of n
+    entries per id, with no n x n matrix.
 
     One pass from vertex 0 records each vertex's depth and preorder
     position.  d(s, c) = dep(s) + dep(c) - 2 dep(lca(s, c)), and along a
@@ -417,13 +417,24 @@ def tree_rows(g: Graph):
                 todo.append(w)
     pre = np.empty(n, dtype=np.intp)
     pre[order] = np.arange(n)
-    dep = np.array(depth, dtype=np.int32)[order]  # by preorder position
+    return _TreeRows(pre, np.array(depth, dtype=np.int32)[order])
 
-    def rows(sources) -> np.ndarray:
-        at = pre[np.asarray(sources, dtype=np.intp)]
+
+@dataclass(frozen=True, eq=False)
+class _TreeRows:
+    """The index of :func:`tree_rows`: each vertex's preorder position, and
+    the depth at each preorder position."""
+
+    pre: np.ndarray
+    dep: np.ndarray
+
+    def __getitem__(self, ids) -> np.ndarray:
+        pre, dep = self.pre, self.dep
+        n = pre.size
+        at = pre[np.asarray(ids, dtype=np.intp)]
         out = np.empty((at.size, n), dtype=np.int32)
         lca = np.empty(n, dtype=np.int32)  # by preorder position
-        for row, p in zip(out, at.tolist()):
+        for row, p in zip(out, at.ravel().tolist()):
             after, before = lca[p + 1 :], lca[:p]
             np.minimum.accumulate(dep[p + 1 :], out=after)
             np.minimum.accumulate(dep[p:0:-1], out=before[::-1])
@@ -435,18 +446,15 @@ def tree_rows(g: Graph):
             lca += dep
             lca += dep[p]
             np.take(lca, pre, out=row)
-        return out
-
-    return rows
+        return out.reshape(*at.shape, n)
 
 
-def tree_eccentricities(rows) -> np.ndarray:
+def tree_eccentricities(dist) -> np.ndarray:
     """On a tree, every vertex's eccentricity from three distance rows of
-    the function ``rows``: with a farthest from vertex 0 and b farthest
-    from a, ecc(u) = max(d(u, a), d(u, b))."""
-    a = int(rows([0])[0].argmax())
-    from_a = rows([a])[0]
-    return np.maximum(from_a, rows([int(from_a.argmax())])[0])
+    ``dist`` (``tree_rows(g)`` or ``apsp(g)``): with a farthest from
+    vertex 0 and b farthest from a, ecc(u) = max(d(u, a), d(u, b))."""
+    from_a = dist[int(dist[0].argmax())]
+    return np.maximum(from_a, dist[int(from_a.argmax())])
 
 
 def _bfs(deg: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:

@@ -121,9 +121,9 @@ def _or_into(out: np.ndarray, rows: np.ndarray, block: np.ndarray) -> None:
 class _Greedy:
     """The cover-or-packing greedy from many roots in lockstep.
 
-    Distances come from ``rows``, a function that maps an array of vertex
-    ids to their distance rows: the rows of ``D`` (``D.__getitem__``) or,
-    on a tree, ``graph_core.tree_rows``.  A ``roots x n`` score matrix
+    Distances come from ``dist``, which ``[ids]`` turns into those
+    vertices' distance rows: ``apsp(g)`` or, on a tree,
+    ``graph_core.tree_rows(g)``.  A ``roots x n`` score matrix
     holds each root's distance to every alive vertex plus one, 0 once
     killed.  One row-wise argmax per step gives every running root its
     farthest alive vertex (ties to the lowest id), then the kill rows of
@@ -146,10 +146,10 @@ class _Greedy:
     The caller says whether the graph is a ``tree``.
     """
 
-    def __init__(self, rows, n: int, tree: bool):
+    def __init__(self, dist, n: int, tree: bool):
         self.n = n
         self.tree = tree
-        self.rows = rows
+        self.dist = dist
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
 
@@ -162,7 +162,7 @@ class _Greedy:
         if self._ball is None or self._ball[0] != radius:
             bits = np.zeros((self.n, self.pad // 8), dtype=np.uint8)
             for part in _slices(self.n, self.n):
-                packed = np.packbits(self.rows(np.arange(self.n)[part]) <= radius, axis=1)
+                packed = np.packbits(self.dist[np.arange(self.n)[part]] <= radius, axis=1)
                 bits[part, : packed.shape[1]] = packed
             self._ball = (radius, bits)
         return self._ball[1]
@@ -185,7 +185,7 @@ class _Greedy:
         balls of the aligned vertices outside B, and only those get ball
         rows."""
         n = self.n
-        dv = self.rows(v)
+        dv = self.dist[v]
         rows, members = np.divmod(np.flatnonzero(dv == radius), n)
         near = np.zeros((v.size, self.pad), dtype=bool)
         for part in _slices(rows.size, self.pad):
@@ -194,7 +194,7 @@ class _Greedy:
             gap -= dr[at, b][:, None]
             np.abs(gap, out=gap)
             aligned = np.zeros((at.size, self.pad), dtype=bool)
-            np.equal(gap, self.rows(b), out=aligned[:, :n])
+            np.equal(gap, self.dist[b], out=aligned[:, :n])
             _or_into(near, at, aligned)
         near[:, :n] &= dv > radius
         bits = self.ball_bits(radius)
@@ -219,7 +219,7 @@ class _Greedy:
         picks = np.zeros((m, 2 * k), dtype=np.int64)
         length = np.full(m, 2 * k)
         live = np.arange(m)  # input position of each running row
-        dr = self.rows(np.asarray(roots))
+        dr = self.dist[np.asarray(roots)]
         score = dr.astype(np.int32)  # distance from the root plus one while
         score += 1  # alive, 0 once killed; int32 rows take the fast argmax
         for step in range(2 * k):
@@ -243,29 +243,29 @@ class _Greedy:
             if radius == 0 or self.tree:  # u dies iff d(u,v) - |d(r,u) - d(r,v)| <= 2R
                 gap = dr - dr[at, v][:, None]
                 np.abs(gap, out=gap)
-                gap -= self.rows(v)
+                gap -= self.dist[v]
                 score *= gap < -min(2 * radius, self.n)
             else:
                 score *= self._survivors(dr, v, radius)
         return covered, [tuple(p[:size].tolist()) for p, size in zip(picks, length)]
 
 
-def _geodesics(g: Graph, rows, r: int, picks) -> tuple[VertexPath, ...]:
+def _geodesics(g: Graph, dist, r: int, picks) -> tuple[VertexPath, ...]:
     """The canonical geodesics r -> pick, one per pick, from the picks' rows."""
-    return tuple(shortest_path(g, row, r) for row in rows(list(picks)))
+    return tuple(shortest_path(g, row, r) for row in dist[list(picks)])
 
 
-def _outcome(g: Graph, rows, r: int, covered: bool, picks) -> RootedOutcome:
+def _outcome(g: Graph, dist, r: int, covered: bool, picks) -> RootedOutcome:
     """The canonical geodesics r -> pick of a cover, or the sorted packing."""
     if covered:
-        return RootedOutcome(cover=_geodesics(g, rows, r, picks), packing=None)
+        return RootedOutcome(cover=_geodesics(g, dist, r, picks), packing=None)
     return RootedOutcome(cover=None, packing=tuple(sorted(picks)))
 
 
-def greedy_outcome(g: Graph, rows, r: int, radius: int, k: int) -> RootedOutcome:
-    """One greedy run at (root, radius) over the row function ``rows``: a
-    rooted cover of at most 2k-1 geodesics, or a packing of exactly 2k
-    vertices.
+def cover_or_packing(g: Graph, dist, r: int, radius: int, k: int) -> RootedOutcome:
+    """One greedy run at (root, radius) over the distances ``dist``
+    (``apsp(g)`` or ``tree_rows(g)``): a rooted cover of at most 2k-1
+    geodesics, or a packing of exactly 2k vertices.
 
     Farthest-first picks, ties to the smallest id; the one-root call of the
     lockstep kernel ``_Greedy``.  The canonical geodesics are built only
@@ -274,42 +274,36 @@ def greedy_outcome(g: Graph, rows, r: int, radius: int, k: int) -> RootedOutcome
     check_k(g, k)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    covered, picks = _Greedy(rows, g.n, g.is_tree()).run([r], radius, k)
-    return _outcome(g, rows, r, bool(covered[0]), picks[0])
+    covered, picks = _Greedy(dist, g.n, g.is_tree()).run([r], radius, k)
+    return _outcome(g, dist, r, bool(covered[0]), picks[0])
 
 
-def cover_or_packing(g: Graph, D: np.ndarray, r: int, radius: int, k: int) -> RootedOutcome:
-    """``greedy_outcome`` over the rows of the distance matrix ``D``."""
-    return greedy_outcome(g, D.__getitem__, r, radius, k)
+def verify_packing(g: Graph, dist, r: int, radius: int, vertices) -> bool:
+    """True iff no single r-path's radius-ball reaches two of the vertices,
+    over the distances ``dist`` (``apsp(g)`` or ``tree_rows(g)``).
 
-
-def verify_packing(g: Graph, D: np.ndarray, r: int, radius: int, vertices) -> bool:
-    """True iff no single r-path's radius-ball reaches two of the vertices.
-
-    One check per member x, not per pair: some r-path comes within
-    ``radius`` of x and of a later member y exactly when y's ball meets the
-    vertices aligned with x's ball (the reduction in ``geodesics``).
-    It aligns the whole ball, so it does not rest on the greedy's sphere rows.
+    On a tree, from the rows of r and of the members: some r-path comes
+    within ``radius`` of both x and y exactly when
+    d(x,y) - |d(r,x) - d(r,y)| <= 2 radius (``_Greedy``'s kill test).
+    Otherwise one check per member x, not per pair: some r-path comes
+    within ``radius`` of x and of a later member y exactly when y's ball
+    meets the vertices aligned with x's ball (the reduction in
+    ``geodesics``).  It aligns the whole ball, so it does not rest on the
+    greedy's sphere rows.
     """
-    dr = D[r]
     members = sorted(set(vertices))
+    if g.is_tree():
+        d = dist[[r, *members]]
+        dr = d[0, members].astype(np.int64)
+        close = d[1:, members] - np.abs(dr[:, None] - dr[None, :]) <= min(2 * radius, g.n)
+        np.fill_diagonal(close, False)
+        return not close.any()
+    dr = dist[r]
     for i, x in enumerate(members[:-1]):
-        near = _aligned_with_ball(D, dr, x, radius)
-        if (D[members[i + 1 :]][:, near] <= radius).any():
+        near = _aligned_with_ball(dist, dr, x, radius)
+        if (dist[members[i + 1 :]][:, near] <= radius).any():
             return False
     return True
-
-
-def verify_tree_packing(rows, r: int, radius: int, vertices) -> bool:
-    """``verify_packing`` on a tree, from the rows of r and of the members:
-    some r-path comes within ``radius`` of both x and y exactly when
-    d(x,y) - |d(r,x) - d(r,y)| <= 2 radius (``_Greedy``'s kill test)."""
-    members = sorted(set(vertices))
-    d = rows([r, *members])
-    dr = d[0, members].astype(np.int64)
-    close = d[1:, members] - np.abs(dr[:, None] - dr[None, :]) <= min(2 * radius, d.shape[1])
-    np.fill_diagonal(close, False)
-    return not close.any()
 
 
 def _search_root(greedy: _Greedy, r: int, k: int, hi: int, picks: tuple[int, ...]):
@@ -341,14 +335,14 @@ def _neighbour_runs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return nbr, np.cumsum(deg) - deg
 
 
-def _radius0_picks(g: Graph, rows, roots) -> np.ndarray:
+def _radius0_picks(g: Graph, dist, roots) -> np.ndarray:
     """The greedy's picks at radius 0 from each root, on a graph of at least
     two vertices: the vertices with no neighbour farther from the root.
-    Distance rows come from the row function ``rows``."""
+    Distance rows come from ``dist``."""
     nbr, starts = _neighbour_runs(g)
     counts = np.empty(len(roots), dtype=np.intp)
     for part in _slices(len(roots), nbr.size):
-        d = rows(roots[part])
+        d = dist[roots[part]]
         farthest = np.maximum.reduceat(d[:, nbr], starts, axis=1)
         counts[part] = np.count_nonzero(farthest <= d, axis=1)
     return counts
@@ -421,31 +415,31 @@ def _tree_root(g: Graph, ecc: np.ndarray, k: int) -> tuple[int, int]:
     return int((count(hi) < 2 * k).argmax()), hi
 
 
-def tree_radius_is_least(g: Graph, rows, radius: int, k: int) -> bool:
-    """On a tree, over the row function ``rows``: True iff the greedy covers
+def tree_radius_is_least(g: Graph, dist, radius: int, k: int) -> bool:
+    """On a tree, over the distances ``dist``: True iff the greedy covers
     from no root at ``radius - 1``, so no root's rooted radius is below
     ``radius`` (the greedy is monotone in R on trees, ``_tree_root``)."""
     if radius == 0:
         return True
-    count = _tree_picks(g, tree_eccentricities(rows))[1]
+    count = _tree_picks(g, tree_eccentricities(dist))[1]
     return not (count(radius - 1) < 2 * k).any()
 
 
 def _rooted_solution(
-    g: Graph, rows, root: int, radius: int, picks, packing
+    g: Graph, dist, root: int, radius: int, picks, packing
 ) -> RootedSolution:
     """The canonical geodesics root -> pick of a cover at ``radius``, with
     the sorted packing found one below it as the witness."""
     witness = None
     if packing is not None:
         witness = PackingWitness(radius=radius - 1, vertices=tuple(sorted(packing)))
-    cover = _geodesics(g, rows, root, picks)
+    cover = _geodesics(g, dist, root, picks)
     return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
 
 
-def best_root(g: Graph, rows, k: int) -> RootedSolution:
+def best_root(g: Graph, dist, k: int) -> RootedSolution:
     """Search every root; return the minimum radius, ties to the lowest id.
-    Distances come from the row function ``rows`` (see ``_Greedy``).
+    Distances come from ``dist`` (see ``_Greedy``).
 
     On a tree the root and radius come from counting (``_tree_root``) with
     the eccentricities of ``graph_core.tree_eccentricities``, and the
@@ -472,12 +466,12 @@ def best_root(g: Graph, rows, k: int) -> RootedSolution:
     radius it probed (n*n/8 bytes).
     """
     check_k(g, k)
-    greedy = _Greedy(rows, g.n, g.is_tree())
+    greedy = _Greedy(dist, g.n, g.is_tree())
     if greedy.tree:
-        root, radius = _tree_root(g, tree_eccentricities(rows), k)
+        root, radius = _tree_root(g, tree_eccentricities(dist), k)
         _, picks = greedy.run([root], radius, k)
         packing = greedy.run([root], radius - 1, k)[1][0] if radius else None
-        return _rooted_solution(g, rows, root, radius, picks[0], packing)
+        return _rooted_solution(g, dist, root, radius, picks[0], packing)
     incumbent = g.n + 1
     r, size = 0, min(_FIRST_CHUNK, greedy.max_roots())
     while r < g.n and incumbent > 1:
@@ -491,9 +485,9 @@ def best_root(g: Graph, rows, k: int) -> RootedSolution:
         incumbent, cover, packing = _search_root(greedy, root, k, incumbent - 1, picks[hits[0]])
         r, size = root + 1, min(_FIRST_CHUNK, greedy.max_roots())
     if incumbent == 1:
-        counts = _radius0_picks(g, greedy.rows, np.arange(r, g.n))
+        counts = _radius0_picks(g, dist, np.arange(r, g.n))
         hits = (counts < 2 * k).nonzero()[0]
         if hits.size:
             root = r + int(hits[0])
             incumbent, cover, packing = 0, greedy.run([root], 0, k)[1][0], None
-    return _rooted_solution(g, rows, root, incumbent, cover, packing)
+    return _rooted_solution(g, dist, root, incumbent, cover, packing)

@@ -71,28 +71,27 @@ def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResul
     doubled thinness bound; by default it is computed as four times the
     doubled four-point delta.
 
-    On a tree no distance matrix is built: every stage reads its rows from
+    On a tree no distance matrix is built: every stage indexes its rows in
     ``tree_rows``, O(kn) in all, and the computed tau is 0, since every
-    block of a tree is a bridge.  Other graphs read the rows of ``apsp``.
+    block of a tree is a bridge.  Other graphs index ``apsp``.
     """
     check_k(g, k)
     if tau_hat_doubled is not None and tau_hat_doubled < 0:
         raise ValueError("tau_hat_doubled must be >= 0")
     tree = g.is_tree()
-    D = None if tree else apsp(g)
-    rows = tree_rows(g) if tree else D.__getitem__
+    dist = tree_rows(g) if tree else apsp(g)
     if tau_hat_doubled is not None:
         tau = tau_hat_doubled
         tau_source = "supplied"
     else:
         # thinness is at most four times the four-point delta
-        tau = 0 if tree else 4 * four_point_delta(D)
+        tau = 0 if tree else 4 * four_point_delta(dist)
         tau_source = "computed"
 
-    rooted = best_root(g, rows, k)
+    rooted = best_root(g, dist, k)
     profile = build_profile(rooted, k)
-    pairing = min_gamma_pairing(rows(list(profile)), profile)
-    pair_paths = paths_of_pairing(g, rows([y for _, y in pairing.pairs]), pairing)
+    pairing = min_gamma_pairing(dist[list(profile)], profile)
+    pair_paths = paths_of_pairing(g, dist[[y for _, y in pairing.pairs]], pairing)
     paths = tuple(dict.fromkeys(pair_paths))  # drop duplicates, keep order
     radius = family_eccentricity(g, paths)
 

@@ -183,7 +183,7 @@ def reference_survivors(greedy: _Greedy, dr: np.ndarray, v: np.ndarray, radius: 
     ball meets a vertex aligned, through row i's root, with some b in
     v[i]'s ball."""
     n = greedy.n
-    rows, members = (greedy.rows(v) <= radius).nonzero()
+    rows, members = (greedy.dist[v] <= radius).nonzero()
     near = np.zeros((v.size, greedy.pad), dtype=bool)
     for part in _slices(rows.size, greedy.pad):
         at, b = rows[part], members[part]
@@ -191,7 +191,7 @@ def reference_survivors(greedy: _Greedy, dr: np.ndarray, v: np.ndarray, radius: 
         gap -= dr[at, b][:, None]
         np.abs(gap, out=gap)
         aligned = np.zeros((at.size, greedy.pad), dtype=bool)
-        np.equal(gap, greedy.rows(b), out=aligned[:, :n])
+        np.equal(gap, greedy.dist[b], out=aligned[:, :n])
         _or_into(near, at, aligned)
     bits = greedy.ball_bits(radius)
     rows, members = near.nonzero()
@@ -431,16 +431,16 @@ def pairing_distance(D: np.ndarray, pairing) -> int:
 def scan_root(g: Graph, D: np.ndarray, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Greedy outcome (cover?) from root r at each radius 0..upto (default n)."""
     limit = g.n if upto is None else upto
-    greedy = _Greedy(D.__getitem__, g.n, g.is_tree())
+    greedy = _Greedy(D, g.n, g.is_tree())
     return [bool(greedy.run([r], radius, k)[0][0]) for radius in range(limit + 1)]
 
 
 def min_radius_for_root(g: Graph, D: np.ndarray, r: int, k: int):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    greedy = _Greedy(D.__getitem__, g.n, g.is_tree())
+    greedy = _Greedy(D, g.n, g.is_tree())
     _, picks = greedy.run([r], g.n, k)  # radius n covers
-    found = _rooted_solution(g, D.__getitem__, r, *_search_root(greedy, r, k, g.n, picks[0]))
+    found = _rooted_solution(g, D, r, *_search_root(greedy, r, k, g.n, picks[0]))
     return found.radius, found.cover, found.packing_witness
 
 

@@ -209,7 +209,7 @@ def test_criterion_4_dichotomy():
         if out.is_cover:
             ok = (
                 1 <= len(out.cover) <= 2 * k - 1
-                and all(p[0] == r and is_isometric(D, p) for p in out.cover)
+                and all(p[0] == r and is_isometric(g, D, p) for p in out.cover)
                 and 2 * family_eccentricity(g, out.cover)
                 <= 2 * radius + 2 * tau
             )
@@ -427,7 +427,7 @@ def test_criterion_8_performance():
     res = solve(g, 3, tau_hat_doubled=4 * 48)
     grid_elapsed = time.perf_counter() - start
     D = apsp(g)
-    assert all(is_isometric(D, p) for p in res.paths)
+    assert all(is_isometric(g, D, p) for p in res.paths)
     assert res.radius == family_eccentricity(g, res.paths)
     grid_ok = grid_elapsed < 600.0
 

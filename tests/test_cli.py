@@ -202,7 +202,7 @@ def test_tree_never_reaches_general_kernel(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(kgc.rooted_cover._Greedy, "_survivors", unreachable)
     monkeypatch.setattr(kgc.rooted_cover._Greedy, "ball_bits", unreachable)
     g = random_tree(200, 19)
-    assert kgc.rooted_cover.best_root(g, apsp(g).__getitem__, 3).radius > 0
+    assert kgc.rooted_cover.best_root(g, apsp(g), 3).radius > 0
     gpath = write_graph(tmp_path, g, "tree200.txt")
     solved = str(tmp_path / "out.json")
     code, _, _ = run_cli(capsys, "solve", "-g", gpath, "-k", "3",

@@ -10,16 +10,19 @@ from kgc import (
     grid_graph,
     is_isometric,
     path_graph,
+    solve,
     star_graph,
 )
 from kgc.geodesics import enumerate_geodesics, shortest_path
-from kgc.graph_core import SplitMix64
+from kgc.graph_core import SplitMix64, tree_rows
 from conftest import (
     covering_reach,
     exists_covering_rpath,
     naive_family_eccentricity,
     path_through,
     small_graph_corpus,
+    tree_corpus,
+    tree_shapes,
 )
 
 
@@ -49,18 +52,44 @@ def test_shortest_path_always_isometric():
         for u in range(g.n):
             for v in range(g.n):
                 p = shortest_path(g, D[v], u)
-                assert is_isometric(D, p)
+                assert is_isometric(g, D, p)
                 assert len(p) == int(D[u, v]) + 1
 
 
 def test_is_isometric_examples():
     g = path_graph(5)
     D = apsp(g)
-    assert is_isometric(D, (0, 1, 2))
-    assert is_isometric(D, (3,))
+    assert is_isometric(g, D, (0, 1, 2))
+    assert is_isometric(g, D, (3,))
     c4 = cycle_graph(4)
-    assert not is_isometric(apsp(c4), (1, 0, 2))  # detour: d(1,2)=1 < 2
-    assert not is_isometric(D, (0, 2))  # not adjacent
+    assert not is_isometric(c4, apsp(c4), (1, 0, 2))  # detour: d(1,2)=1 < 2
+    assert not is_isometric(g, D, (0, 2))  # not adjacent
+
+
+def test_is_isometric_reads_the_tree_index_like_the_matrix():
+    # apsp(g) and tree_rows(g) give the same answer on every rooted cover
+    # path and final path of solved trees, reversed, and tampered: a step
+    # back (a, b, a), a step that is not an edge, the empty path
+    answers = {True: 0, False: 0}
+    for g in [*tree_corpus(20, 2, 60, seed=227), *tree_shapes()]:
+        D, rows = apsp(g), tree_rows(g)
+        res = solve(g, min(3, g.n), tau_hat_doubled=0)
+        walks = [(), *res.rooted.cover, *res.paths]
+        walks += [p[::-1] for p in walks]
+        a = max(range(g.n), key=lambda v: len(g.adjacency[v]))
+        if g.adjacency[a]:
+            b = g.adjacency[a][0]
+            walks += [(a, b, a), (b, a, b), (a, b)]
+        far = int(D[0].argmax())
+        walks += [(0, far), (0, far, 0)]
+        for p in walks:
+            answer = is_isometric(g, D, p)
+            assert is_isometric(g, rows, p) == answer
+            answers[answer] += 1
+    assert not is_isometric(g, D, ()) and not is_isometric(g, rows, ())
+    c4 = cycle_graph(4)  # the detour (1, 0, 2) walks edges, but d(1,2) = 1
+    assert not is_isometric(c4, apsp(c4), (1, 0, 2))
+    assert min(answers.values()) >= 50
 
 
 def test_path_through_examples():
@@ -89,7 +118,7 @@ def test_path_through_postcondition_random():
             mids = [a for a in range(g.n) if int(D[r, a]) + int(D[a, b]) == int(D[r, b])]
             a = mids[rng.below(len(mids))]
             p = path_through(g, D, r, a, b)
-            assert is_isometric(D, p)
+            assert is_isometric(g, D, p)
             assert len(p) == int(D[r, b]) + 1
             assert a in p and b in p and p[0] == r
             found += 1

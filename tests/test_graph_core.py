@@ -378,18 +378,22 @@ def test_apsp_memory_beyond_the_matrix():
 
 
 def test_tree_rows_match_apsp():
-    # the tree index against apsp: every vertex's row alone, all rows in
-    # one call, repeated and empty sources; n = 1, 2, paths, a star,
+    # the tree index is indexed like apsp's matrix: tree_rows(g)[ids] is
+    # apsp(g)[ids] for an int array, a list (repeats too), [] (shape
+    # (0, n)) and a single vertex id (one row); n = 1, 2, paths, a star,
     # spiders, caterpillars and random trees of 1-120 vertices
     for g in [*tree_corpus(60, 1, 120, seed=221), *tree_shapes()]:
         D = apsp(g)
         rows = graph_core.tree_rows(g)
-        every = rows(np.arange(g.n))
-        assert every.dtype == np.int32 and (every == D).all()
+        every = rows[np.arange(g.n)]
+        assert every.dtype == np.int32 and every.shape == D.shape and (every == D).all()
         for v in range(g.n):
-            assert (rows([v]) == D[[v]]).all()
-        assert (rows([g.n - 1, 0, g.n - 1]) == D[[g.n - 1, 0, g.n - 1]]).all()
-        assert rows([]).shape == (0, g.n)
+            assert rows[[v]].shape == (1, g.n) and (rows[[v]] == D[[v]]).all()
+            assert rows[v].shape == (g.n,) and (rows[v] == D[v]).all()
+        ids = [g.n - 1, 0, g.n - 1]
+        assert (rows[ids] == D[ids]).all()
+        assert (rows[np.array(ids)] == D[np.array(ids)]).all()
+        assert rows[[]].shape == D[[]].shape == (0, g.n)
 
 
 def test_tree_eccentricities_match_apsp():
@@ -397,8 +401,8 @@ def test_tree_eccentricities_match_apsp():
     # with a farthest from 0 and b farthest from a
     for g in [*tree_corpus(60, 1, 120, seed=222), *tree_shapes()]:
         D = apsp(g)
-        for rows in (graph_core.tree_rows(g), D.__getitem__):
-            assert (graph_core.tree_eccentricities(rows) == D.max(axis=1)).all()
+        for dist in (graph_core.tree_rows(g), D):
+            assert (graph_core.tree_eccentricities(dist) == D.max(axis=1)).all()
 
 
 def test_distance_matrix_axioms():

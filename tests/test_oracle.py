@@ -68,7 +68,7 @@ def test_exact_optimum_witness_verifies():
             res = exact_optimum(g, D, k)
             assert 1 <= len(res.witness) <= k
             for p in res.witness:
-                assert is_isometric(D, p)
+                assert is_isometric(g, D, p)
             assert family_eccentricity(g, res.witness) == res.optimum
             assert res.stats["paths_enumerated"] >= g.n
             assert res.stats["combinations_tried"] >= 0

@@ -24,7 +24,7 @@ from kgc import (
     verify_packing,
 )
 from kgc.graph_core import SplitMix64, tree_rows
-from kgc.rooted_cover import best_root, cover_or_packing, verify_tree_packing
+from kgc.rooted_cover import best_root, cover_or_packing
 from conftest import (
     caterpillar,
     min_radius_for_root,
@@ -137,11 +137,11 @@ def test_min_radius_matches_linear_scan_random():
 
 def test_best_root_examples():
     p5 = path_graph(5)
-    sol = best_root(p5, apsp(p5).__getitem__, 1)
+    sol = best_root(p5, apsp(p5), 1)
     assert sol.radius == 0 and sol.root == 0  # tie broken to the lowest id
 
     s5 = star_graph(5)
-    sol = best_root(s5, apsp(s5).__getitem__, 2)
+    sol = best_root(s5, apsp(s5), 2)
     assert sol.radius == 1
 
 
@@ -156,7 +156,7 @@ def test_best_root_matches_exhaustive():
         D = apsp(g)
         for k in (1, 2):
             expected = linear_best(g, D, k)
-            sol = best_root(g, D.__getitem__, k)
+            sol = best_root(g, D, k)
             assert (sol.radius, sol.root) == expected
 
 
@@ -165,7 +165,7 @@ def test_best_root_prune_and_threads_do_not_change_result():
         D = apsp(g)
         for k in (1, 2):
             baseline = reference_best_root(g, D, k, prune=False)
-            assert best_root(g, D.__getitem__, k) == baseline
+            assert best_root(g, D, k) == baseline
             assert solve(g, k).rooted == baseline
 
 
@@ -184,7 +184,7 @@ def test_dichotomy_random():
                 assert 1 <= len(out.cover) <= 2 * k - 1
                 for p in out.cover:
                     assert p[0] == r
-                    assert is_isometric(D, p)
+                    assert is_isometric(g, D, p)
                 ecc = family_eccentricity(g, out.cover)
                 assert 2 * ecc <= 2 * radius + 2 * tau
             else:
@@ -213,7 +213,7 @@ def test_threaded_tie_breaks_on_symmetric_graphs():
         D = apsp(g)
         for k in (1, 2):
             expected = reference_best_root(g, D, k, prune=False)
-            assert best_root(g, D.__getitem__, k) == expected
+            assert best_root(g, D, k) == expected
 
 
 def test_cover_or_packing_rejects_bad_k():
@@ -224,7 +224,7 @@ def test_cover_or_packing_rejects_bad_k():
     with pytest.raises(ValueError):
         cover_or_packing(g, D, 0, -1, 1)
     with pytest.raises(ValueError):
-        best_root(g, D.__getitem__, 5)
+        best_root(g, D, 5)
 
 
 def _two_cycles_with_pendant_trees():
@@ -272,7 +272,7 @@ def test_best_root_matches_reference_kernel():
     for g in _differential_corpus():
         D = apsp(g)
         for k in (1, 2, 3):
-            found = best_root(g, D.__getitem__, k)
+            found = best_root(g, D, k)
             for prune in (True, False):
                 assert found == reference_best_root(g, D, k, prune=prune)
 
@@ -285,8 +285,8 @@ def test_survivors_match_full_ball_reference():
     # sphere is empty.  At n = 64 the rows need no padding column.
     for g in [*_differential_corpus(), random_connected(64, 76, 176)]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
-        dr = greedy.rows(np.repeat(np.arange(g.n), g.n))
+        greedy = kgc.rooted_cover._Greedy(D, g.n, False)
+        dr = greedy.dist[np.repeat(np.arange(g.n), g.n)]
         v = np.tile(np.arange(g.n), g.n)
         ecc = D.max(axis=1)[v]
         for radius in range(1, int(D.max()) + 2):
@@ -314,8 +314,8 @@ def test_tree_kill_matches_general_kernel():
     ]
     for g in trees:
         D = apsp(g)
-        fast = kgc.rooted_cover._Greedy(D.__getitem__, g.n, True)
-        general = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
+        fast = kgc.rooted_cover._Greedy(D, g.n, True)
+        general = kgc.rooted_cover._Greedy(D, g.n, False)
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
@@ -345,9 +345,9 @@ def test_tree_flag_is_false_off_trees(monkeypatch):
     ]
     for g in (cycle_graph(9), *chords, grid_graph(4, 3), grid_graph(2, 2)):
         D = apsp(g)
-        best_root(g, D.__getitem__, 1)
+        best_root(g, D, 1)
         cover_or_packing(g, D, 0, 1, 1)
-    best_root(tree, apsp(tree).__getitem__, 1)
+    best_root(tree, apsp(tree), 1)
     assert flags == [False] * 10 + [True]
 
 
@@ -363,9 +363,9 @@ def test_greedy_reads_int32_distances_in_place():
     ]
     for g in graphs:
         D = apsp(g)
-        narrow = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
-        in_place = kgc.rooted_cover._Greedy(D.astype(np.int32).__getitem__, g.n, g.is_tree())
-        assert narrow.rows([0]).dtype == np.int16 and in_place.rows([0]).dtype == np.int32
+        narrow = kgc.rooted_cover._Greedy(D, g.n, g.is_tree())
+        in_place = kgc.rooted_cover._Greedy(D.astype(np.int32), g.n, g.is_tree())
+        assert narrow.dist[[0]].dtype == np.int16 and in_place.dist[[0]].dtype == np.int32
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
@@ -381,7 +381,7 @@ def test_tree_picks_decide_the_greedy():
     # it covers exactly when at most 2k - 1 vertices have r-height R
     for g in [*tree_corpus(40, 1, 60, seed=195), *tree_shapes()]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, True)
+        greedy = kgc.rooted_cover._Greedy(D, g.n, True)
         radius, count = kgc.rooted_cover._tree_picks(g, D.max(axis=1))
         assert radius == D.max(axis=1).min()
         for R in range(g.n + 2):
@@ -405,7 +405,7 @@ def test_tree_best_root_matches_reference():
     for g in trees:
         D = apsp(g)
         for k in range(1, min(5, g.n) + 1):
-            assert best_root(g, D.__getitem__, k) == reference_best_root(g, D, k)
+            assert best_root(g, D, k) == reference_best_root(g, D, k)
 
 
 def test_radius0_picks_decide_the_greedy():
@@ -415,9 +415,9 @@ def test_radius0_picks_decide_the_greedy():
     graphs += [g for g in small_graph_corpus(30, 25, seed=198) if not g.is_tree()]
     for g in graphs:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
+        greedy = kgc.rooted_cover._Greedy(D, g.n, False)
         roots = np.arange(g.n)
-        counts = kgc.rooted_cover._radius0_picks(g, greedy.rows, roots)
+        counts = kgc.rooted_cover._radius0_picks(g, greedy.dist, roots)
         for k in range(1, g.n // 2 + 1):
             covered, found = greedy.run(roots, 0, k)
             assert (covered == (counts < 2 * k)).all()
@@ -444,7 +444,7 @@ def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
         D = apsp(g)
         for k in (1, 2, 3):
             calls.clear()
-            sol = best_root(g, D.__getitem__, min(k, g.n))
+            sol = best_root(g, D, min(k, g.n))
             assert len(calls) <= 2 and all(size == 1 for size, _ in calls)
             assert calls[0] == (1, sol.radius)
     decided_at_0 = 0
@@ -455,17 +455,17 @@ def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
         for k in (1, 2, 4, g.n // 2):
             calls.clear()
             counted.clear()
-            sol = best_root(g, D.__getitem__, k)
+            sol = best_root(g, D, k)
             assert not any(size > 1 and radius == 0 for size, radius in calls)
             decided_at_0 += sol.radius == 0 and calls[-1] == (1, 0) and bool(counted)
     assert decided_at_0 >= 10
 
 
 def _lockstep_outcomes(g, D, radius, k):
-    greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, g.is_tree())
+    greedy = kgc.rooted_cover._Greedy(D, g.n, g.is_tree())
     covered, picks = greedy.run(np.arange(g.n), radius, k)
     return [
-        kgc.rooted_cover._outcome(g, D.__getitem__, r, bool(covered[r]), picks[r]) for r in range(g.n)
+        kgc.rooted_cover._outcome(g, D, r, bool(covered[r]), picks[r]) for r in range(g.n)
     ]
 
 
@@ -494,7 +494,7 @@ def test_lockstep_greedy_matches_reference_in_tiny_slices(monkeypatch):
     for g in _differential_corpus()[::3]:
         D = apsp(g)
         for k in (1, 2):
-            assert best_root(g, D.__getitem__, k) == reference_best_root(g, D, k)
+            assert best_root(g, D, k) == reference_best_root(g, D, k)
 
 
 def test_slices_cover_every_row_once(monkeypatch):
@@ -513,7 +513,7 @@ def test_ball_bits_keep_the_last_radius(monkeypatch):
     # so radius 38, asked for again after 39, is built a second time
     g = path_graph(40)
     D = apsp(g)
-    greedy = kgc.rooted_cover._Greedy(D.__getitem__, g.n, False)
+    greedy = kgc.rooted_cover._Greedy(D, g.n, False)
     builds = []
     slices = kgc.rooted_cover._slices
     monkeypatch.setattr(
@@ -550,7 +550,7 @@ def test_best_root_covers_mid_chunk(monkeypatch):
     ):
         D = apsp(g)
         calls.clear()
-        assert best_root(g, D.__getitem__, k) == reference_best_root(g, D, k)
+        assert best_root(g, D, k) == reference_best_root(g, D, k)
         assert sum(1 for _, hits in calls if hits) >= 2
         assert any(hits and 0 < hits[0] < size - 1 for size, hits in calls)
 
@@ -572,7 +572,7 @@ def test_best_root_allocates_no_square_matrices():
         D = apsp(g)
         tracemalloc.start()
         try:
-            best_root(g, D.__getitem__, 3)
+            best_root(g, D, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -603,10 +603,11 @@ def test_verify_packing_matches_pairwise_reference():
     assert min(outcomes.values()) >= 200
 
 
-def test_tree_packing_matches_verify_packing():
-    # the closed-form pair test d(x,y) - |d(r,x) - d(r,y)| <= 2R against
-    # the ball alignment of verify_packing: every root of each tree, R =
-    # 0..6, greedy packings and random vertex sets
+def test_tree_packing_matches_verify_packing(monkeypatch):
+    # verify_packing's closed-form pair test on trees,
+    # d(x,y) - |d(r,x) - d(r,y)| <= 2R, from the tree index, against its
+    # ball alignment, forced by treating the tree as cyclic: every root of
+    # each tree, R = 0..6, greedy packings and random vertex sets
     rng = SplitMix64(5454)
     outcomes = {True: 0, False: 0}
     for g in [*tree_corpus(12, 2, 30, seed=223), *tree_shapes()[:8]]:
@@ -621,7 +622,9 @@ def test_tree_packing_matches_verify_packing():
                 for size in (2, 3, 5):
                     sets.append(tuple(rng.below(g.n) for _ in range(size)))
                 for vertices in sets:
-                    expected = verify_packing(g, D, r, radius, vertices)
-                    assert verify_tree_packing(rows, r, radius, vertices) == expected
+                    with monkeypatch.context() as patched:
+                        patched.setattr(Graph, "is_tree", lambda self: False)
+                        expected = verify_packing(g, D, r, radius, vertices)
+                    assert verify_packing(g, rows, r, radius, vertices) == expected
                     outcomes[expected] += 1
     assert min(outcomes.values()) >= 200

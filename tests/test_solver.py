@@ -117,7 +117,7 @@ def test_result_structure_invariants():
             res = solve(g, k)
             assert 1 <= len(res.paths) <= k
             for p in res.paths:
-                assert is_isometric(D, p)
+                assert is_isometric(g, D, p)
             # radius is recomputed from the paths, never trusted
             assert res.radius == family_eccentricity(g, res.paths)
             assert res.radius <= res.bounds.upper
