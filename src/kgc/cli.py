@@ -202,12 +202,15 @@ def cmd_verify(args) -> int:
         # radius and bounds.lower holds
         rooted_cover = _field(rooted, "cover")
         count = len(rooted_cover) if isinstance(rooted_cover, list) else None
+        # every rooted path starts at the root: its row, read once, is the
+        # only distance source the rooted paths' checks need
+        root_row = {root: dist[root]} if _is_vertex(root, g.n) else {}
         rooted_ok = (
             count is not None
             and 0 < count <= 2 * k - 1
             and _is_vertex(root, g.n)
             and all(
-                _is_vertex_list(p, g.n) and p[:1] == [root] and is_isometric(g, dist, p)
+                _is_vertex_list(p, g.n) and p[:1] == [root] and is_isometric(g, root_row, p)
                 for p in rooted_cover
             )
             and type(rooted_radius) is int

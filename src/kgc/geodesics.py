@@ -22,12 +22,11 @@ index, so d(a,b) = |d(r,a) - d(r,b)|.  Hence the reduction is exact.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph_core import CapExceededError, Graph
+from .graph_core import CapExceededError, Graph, hops
 
 # A path is a tuple of pairwise-adjacent vertex ids; single vertices are
 # valid length-0 paths.
@@ -64,27 +63,13 @@ def is_isometric(g: Graph, dist, path: Sequence[int]) -> bool:
 
 def family_eccentricity(g: Graph, paths: Iterable[Sequence[int]]) -> int:
     """Smallest R such that the R-balls around the paths' vertices cover the
-    whole graph: one multi-source BFS seeded with every path vertex."""
+    whole graph: the farthest hop distance from the paths' vertices."""
     seeds = {v for p in paths for v in p}
     if not seeds:
         raise ValueError("family_eccentricity needs at least one path")
     if not all(0 <= v < g.n for v in seeds):
         raise ValueError("paths contain out-of-range vertices")
-    dist = [-1] * g.n
-    queue = deque()
-    for v in sorted(seeds):
-        dist[v] = 0
-        queue.append(v)
-    farthest = 0  # the graph is connected, so the search reaches every vertex
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for x in g.adjacency[u]:
-            if dist[x] < 0:
-                dist[x] = du + 1
-                farthest = du + 1
-                queue.append(x)
-    return farthest
+    return max(hops(g, seeds))
 
 
 def enumerate_geodesics(

@@ -9,8 +9,9 @@ against thresholds like ``2*tau + 1/2`` never involve floats.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -44,68 +45,110 @@ class _DoubledInt(int):
         return int(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple connected undirected graph on vertices 0..n-1.
-
-    Neighbor lists are sorted ascending; every deterministic tie-break in
-    this package leans on that ordering.
+    """Immutable simple connected undirected graph on vertices 0..n-1, in
+    CSR form: vertex v's neighbours are ``indices[indptr[v]:indptr[v + 1]]``.
+    Both are read-only intp arrays, and each row is ascending; every
+    deterministic tie-break in this package leans on that ordering.
     """
 
     n: int
-    m: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        if n < 1:
-            raise GraphValidationError("graph needs at least one vertex")
-        # fewer than n - 1 edges cannot connect n vertices; checked before
-        # any per-vertex list exists, so a header like "100000000 0" is cheap
-        edges = list(edges)
-        if len(edges) < n - 1:
-            raise GraphValidationError("graph is not connected")
-        seen: set[tuple[int, int]] = set()
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphValidationError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphValidationError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphValidationError(f"duplicate edge {key}")
-            seen.add(key)
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        g = cls(n=n, m=len(seen), adjacency=tuple(tuple(sorted(ns)) for ns in neighbors))
-        if not g._is_connected():
-            raise GraphValidationError("graph is not connected")
-        return g
+        """The graph with the given edges, each an unordered pair (u, v).
+        The first edge in input order that is out of range, a loop or a
+        repeat of an earlier edge, either way round, is reported."""
+        return _from_ids(n, list(chain.from_iterable(edges)))
 
-    def _is_connected(self) -> bool:
-        reached = [False] * self.n
-        reached[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if not reached[w]:
-                    reached[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+    @property
+    def m(self) -> int:
+        return self.indices.size // 2
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours as a tuple of ints, ascending, for the
+        readers that loop in Python."""
+        nbrs, ends = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(ends, ends[1:]))
+
+    def __eq__(self, other) -> bool:  # n is indptr.size - 1
+        return (
+            isinstance(other, Graph)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for w in self.adjacency[u]:
-                if u < w:
-                    yield (u, w)
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        up = src < self.indices
+        return zip(src[up].tolist(), self.indices[up].tolist())
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1
+
+
+def _from_ids(n: int, ids: list[int]) -> Graph:
+    """:meth:`Graph.from_edges` with the edges' ids end to end,
+    u0 v0 u1 v1 ..., the form :func:`load_graph` parses them in."""
+    if n < 1:
+        raise GraphValidationError("graph needs at least one vertex")
+    # fewer than n - 1 edges cannot connect n vertices; checked before any
+    # per-vertex array exists, so a header like "100000000 0" is cheap
+    if len(ids) < 2 * (n - 1):
+        raise GraphValidationError("graph is not connected")
+    try:
+        ends = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id past int64 is out of range like any other
+        ends = np.array([min(max(x, -1), n) for x in ids], dtype=np.int64)
+    u, v = ends[0::2], ends[1::2]
+    # every arc as src * n + dst, sorted: with every id in range, the arcs
+    # are distinct exactly when no edge is a loop or a repeat
+    arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
+    if ends.min(initial=0) < 0 or ends.max(initial=0) >= n or (arcs[1:] == arcs[:-1]).any():
+        # report the first edge in input order that is out of range, a loop
+        # or a repeat of an earlier edge.  An id out of range makes a key
+        # that may equal any other, but then the edge behind it is at
+        # fault itself or comes after one that is
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _, first, key = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+        bad = (lo < 0) | (hi >= n) | (lo == hi) | (first[key] != np.arange(lo.size))
+        at = 2 * int(bad.argmax())
+        a, b = ids[at : at + 2]
+        if not (0 <= a < n and 0 <= b < n):
+            raise GraphValidationError(f"edge ({a}, {b}) out of range for n={n}")
+        if a == b:
+            raise GraphValidationError(f"loop at vertex {a}")
+        raise GraphValidationError(f"duplicate edge {(min(a, b), max(a, b))}")
+    indptr = np.searchsorted(arcs, np.arange(0, n * n + 1, n))
+    indices = arcs % n
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    g = Graph(n, indptr, indices)
+    if min(hops(g, [0])) < 0:
+        raise GraphValidationError("graph is not connected")
+    return g
+
+
+def hops(g: Graph, sources: Iterable[int]) -> list[int]:
+    """Each vertex's hop distance from the nearest of ``sources``, -1 where
+    none reaches it: one breadth-first search."""
+    adj = g.adjacency
+    dist = [-1] * g.n
+    queue = list(sources)
+    for s in queue:
+        dist[s] = 0
+    for u in queue:  # the queue grows while the loop reads it
+        step = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = step
+                queue.append(w)
+    return dist
 
 
 def check_k(g: Graph, k: int) -> None:
@@ -117,8 +160,10 @@ def check_k(g: Graph, k: int) -> None:
 def load_graph(source: str | bytes | IO) -> Graph:
     """Parse a graph from edge-list text.
 
-    Format: optional '#' comment lines, a header line ``n m``, then one
-    ``u v`` line per edge with ``0 <= u < v < n``.
+    Format: optional '#' comment lines and blank lines, a header line
+    ``n m``, then one ``u v`` line per edge, ids read by ``int``, with
+    ``0 <= u, v < n`` and ``u != v``.  Either order names the same edge,
+    so a line that repeats an edge either way round is a duplicate.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -126,8 +171,7 @@ def load_graph(source: str | bytes | IO) -> Graph:
         text = source
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = [ln.strip() for ln in text.splitlines()]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
+    data = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not data:
         raise GraphFormatError("empty input")
     header = data[0].split()
@@ -137,18 +181,18 @@ def load_graph(source: str | bytes | IO) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {data[0]!r}") from exc
-    edges: list[tuple[int, int]] = []
+    ids: list[int] = []
     for ln in data[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            ids += int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"non-integer edge line {ln!r}") from exc
-    g = Graph.from_edges(n, edges)  # range, loops, duplicates, connectivity
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    g = _from_ids(n, ids)  # range, loops, duplicates, connectivity
+    if len(ids) != 2 * m:
+        raise GraphFormatError(f"header declares {m} edges, found {len(ids) // 2}")
     return g
 
 
@@ -342,16 +386,15 @@ def apsp(g: Graph) -> np.ndarray:
         if deg[p] == 1:
             leaves.append(p)
     core = [v for v in range(n) if parent[v] < 0]
-    cid = [-1] * n
-    for i, v in enumerate(core):
-        cid[v] = i
+    cid = np.full(n, -1, dtype=np.intp)
+    cid[core] = np.arange(len(core))
     dtype = np.int16 if n < 2**15 else np.int32
-    # after peeling, a core vertex's degree counts its core neighbours only
-    core_d = _bfs(
-        np.fromiter((deg[v] for v in core), dtype=np.int64, count=len(core)),
-        np.fromiter((cid[w] for v in core for w in adj[v] if cid[w] >= 0), dtype=np.int64),
-        dtype,
-    )
+    # the core's CSR: g's arcs between core vertices, renumbered, which
+    # keeps every row ascending
+    src = np.repeat(cid, np.diff(g.indptr))
+    dst = cid[g.indices]
+    kept = (src >= 0) & (dst >= 0)
+    core_d = _bfs(np.searchsorted(src[kept], np.arange(len(core) + 1)), dst[kept], dtype)
     if len(core) == n:
         core_d.setflags(write=False)
         return core_d
@@ -362,7 +405,7 @@ def apsp(g: Graph) -> np.ndarray:
         v = todo.pop()
         order.append(v)
         todo.extend(children[v])
-    anchor, depth = cid[:], [0] * n
+    anchor, depth = cid.tolist(), [0] * n
     for v in order:
         anchor[v] = anchor[parent[v]]
         depth[v] = depth[parent[v]] + 1
@@ -457,10 +500,10 @@ def tree_eccentricities(dist) -> np.ndarray:
     return np.maximum(from_a, dist[int(from_a.argmax())])
 
 
-def _bfs(deg: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
+def _bfs(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
     """Hop distances of a connected graph in CSR form (vertex v's
-    neighbours are the ``deg[v]`` entries of ``indices`` after those of
-    vertices 0..v-1): one breadth-first search from all sources at once,
+    neighbours are ``indices[indptr[v]:indptr[v + 1]]``, as in
+    :class:`Graph`): one breadth-first search from all sources at once,
     as a writeable matrix of the signed integer ``dtype``, which must hold
     n - 1.
 
@@ -471,9 +514,8 @@ def _bfs(deg: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
     edges, so beyond the matrix only the frontier and the level it reaches
     grow with n.
     """
+    deg = np.diff(indptr)
     n = deg.size
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
     flat = np.full(n * n, -1, dtype=dtype)
     frontier = np.arange(0, n * n, n + 1, dtype=np.intp)  # the diagonal
     flat[frontier] = 0

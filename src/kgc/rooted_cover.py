@@ -38,7 +38,6 @@ farther from r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -327,19 +326,11 @@ def _search_root(greedy: _Greedy, r: int, k: int, hi: int, picks: tuple[int, ...
     return hi, picks, packing
 
 
-def _neighbour_runs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Every neighbour list, end to end in vertex order, and where each
-    vertex's run starts."""
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
-    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=2 * g.m)
-    return nbr, np.cumsum(deg) - deg
-
-
 def _radius0_picks(g: Graph, dist, roots) -> np.ndarray:
     """The greedy's picks at radius 0 from each root, on a graph of at least
     two vertices: the vertices with no neighbour farther from the root.
     Distance rows come from ``dist``."""
-    nbr, starts = _neighbour_runs(g)
+    nbr, starts = g.indices, g.indptr[:-1]
     counts = np.empty(len(roots), dtype=np.intp)
     for part in _slices(len(roots), nbr.size):
         d = dist[roots[part]]
@@ -370,7 +361,7 @@ def _tree_picks(g: Graph, ecc: np.ndarray):
     """
     n = g.n
     ecc = np.asarray(ecc, dtype=np.intp)
-    nbr, starts = _neighbour_runs(g)
+    nbr, starts = g.indices, g.indptr[:-1]
     a1 = np.arange(n)
     if n > 1:
         a1 = np.minimum.reduceat(ecc[nbr] * n + nbr, starts) % n

@@ -11,6 +11,8 @@ import numpy as np
 from kgc import (
     BoundReport,
     Graph,
+    GraphFormatError,
+    GraphValidationError,
     OracleCaps,
     PackingWitness,
     Pairing,
@@ -127,6 +129,73 @@ def reference_pair_scan_delta_doubled(D) -> int:
 def naive_family_eccentricity(D, paths) -> int:
     members = [v for p in paths for v in p]
     return max(min(int(D[v, x]) for x in members) for v in range(len(D)))
+
+
+def reference_from_edges(n: int, edges) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Reference graph builder: a pure-Python check of each edge in input
+    order (range, loop, duplicate either way round), sorted neighbour
+    tuples and a search for connectivity.  Returns ``(n, adjacency)``."""
+    if n < 1:
+        raise GraphValidationError("graph needs at least one vertex")
+    edges = list(edges)
+    if len(edges) < n - 1:
+        raise GraphValidationError("graph is not connected")
+    seen: set[tuple[int, int]] = set()
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphValidationError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphValidationError(f"loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphValidationError(f"duplicate edge {key}")
+        seen.add(key)
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbors)
+    reached = {0}
+    todo = [0]
+    while todo:
+        for w in adjacency[todo.pop()]:
+            if w not in reached:
+                reached.add(w)
+                todo.append(w)
+    if len(reached) != n:
+        raise GraphValidationError("graph is not connected")
+    return n, adjacency
+
+
+def reference_load_graph(source) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Reference edge-list parser: one line at a time, each id through
+    ``int``, then :func:`reference_from_edges`.  Returns ``(n, adjacency)``."""
+    text = source.read() if hasattr(source, "read") else source
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = [ln.strip() for ln in text.splitlines()]
+    data = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not data:
+        raise GraphFormatError("empty input")
+    header = data[0].split()
+    if len(header) != 2:
+        raise GraphFormatError(f"header must be 'n m', got {data[0]!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"non-integer header {data[0]!r}") from exc
+    edges: list[tuple[int, int]] = []
+    for ln in data[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise GraphFormatError(f"non-integer edge line {ln!r}") from exc
+    graph = reference_from_edges(n, edges)
+    if len(edges) != m:
+        raise GraphFormatError(f"header declares {m} edges, found {len(edges)}")
+    return graph
 
 
 def graph_key(g: Graph):

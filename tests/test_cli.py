@@ -17,8 +17,11 @@ from kgc import (
     star_graph,
     subdivide,
 )
+import numpy as np
+
 import kgc.cli
 import kgc.rooted_cover
+from kgc import graph_core
 import kgc.solver
 from kgc import Graph, RootedSolution
 from kgc.cli import main
@@ -742,6 +745,44 @@ def test_tree_commands_build_no_distance_matrix(tmp_path, capsys, monkeypatch):
     gpath = write_graph(tmp_path, cycle_graph(9), "cycle.txt")
     assert run_cli(capsys, "delta", "-g", gpath)[0] == 0
     assert len(calls) == 1
+
+
+def test_tree_verify_builds_the_root_row_once_for_the_rooted_paths(tmp_path, capsys, monkeypatch):
+    # every rooted path starts at the root, so verify builds the root's row
+    # once for all of them, before their checks: the isometry checks build
+    # one row per cover path and none per rooted path, where they built
+    # one per path of either kind
+    built = []  # per isometry check, the rows it built
+    checking = []
+    build, check = graph_core._TreeRows.__getitem__, kgc.cli.is_isometric
+
+    def count_rows(self, ids):
+        if checking:
+            built[-1] += np.size(ids)
+        return build(self, ids)
+
+    def count_check(g, dist, path):
+        built.append(0)
+        checking.append(path)
+        try:
+            return check(g, dist, path)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(graph_core._TreeRows, "__getitem__", count_rows)
+    monkeypatch.setattr(kgc.cli, "is_isometric", count_check)
+    gpath = write_graph(tmp_path, random_tree(200, 3), "tree.txt")
+    for k in (3, 4):
+        solved = str(tmp_path / "out.json")
+        code, _, _ = run_cli(capsys, "solve", "-g", gpath, "-k", str(k),
+                             "--tau-hat-doubled", "0", "-o", solved)
+        data = json.loads(Path(solved).read_text())
+        assert code == 0 and len(data["rooted"]["cover"]) >= 5
+        built.clear()
+        code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", solved,
+                               "--radius", str(data["radius"]))
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert built == [1] * len(data["paths"]) + [0] * len(data["rooted"]["cover"])
 
 
 def test_tree_verify_matches_the_matrix_path(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,8 @@ from conftest import (
     gromov_product,
     naive_delta_doubled,
     reference_apsp,
+    reference_from_edges,
+    reference_load_graph,
     reference_pair_scan_delta_doubled,
     small_graph_corpus,
     tree_corpus,
@@ -109,9 +111,160 @@ def test_single_vertex_graph():
     assert g.n == 1 and g.m == 0
 
 
+def _loader_corpus(count: int, seed: int):
+    """Seeded edge-list texts, str or bytes, for the differential loader
+    test.  Most start from a random connected graph, edges shuffled and
+    some reversed; some then get faults at random lines (ids out of range,
+    some past int64, loops, repeats either way round, a dropped edge, a
+    wrong header count, lines of other than two tokens, non-integer ids),
+    so that several faults compete and the first one must win.  Ids are
+    written as plain, signed, zero-padded or underscored ints, with tabs
+    or runs of spaces, among comments and blank lines, with LF or CRLF."""
+    rng = SplitMix64(seed)
+    big = (1 << 63, 1 << 64, -(1 << 70), (1 << 63) - 1)
+
+    def token(x):
+        style = rng.below(6)
+        if style == 1 and x >= 0:
+            return f"+{x}"
+        if style == 2 and x >= 0:
+            return f"00{x}"
+        if style == 3 and x >= 10:
+            text = str(x)
+            return f"{text[0]}_{text[1:]}"
+        return str(x)
+
+    for _ in range(count):
+        n = 1 + rng.below(9)
+        extra = rng.below(min(4, n * (n - 1) // 2 - (n - 1)) + 1)
+        edges = list(random_connected(n, n - 1 + extra, rng.next_u64()).edges())
+        rng.shuffle(edges)
+        edges = [(v, u) if rng.below(2) else (u, v) for u, v in edges]
+        junk = []  # where a malformed line goes in
+        for _ in range(rng.below(4)):
+            kind = rng.below(6)
+            at = rng.below(len(edges) + 1)
+            if kind == 0:
+                edges.insert(at, (rng.below(n), n + rng.below(3)))
+            elif kind == 1:
+                edges.insert(at, (big[rng.below(len(big))], rng.below(n)))
+            elif kind == 2:
+                v = rng.below(n)
+                edges.insert(at, (v, v))
+            elif kind == 3 and edges:
+                u, v = edges[rng.below(len(edges))]
+                edges.insert(at, (v, u) if rng.below(2) else (u, v))
+            elif kind == 4 and edges:
+                edges.pop(rng.below(len(edges)))
+            elif kind == 5:
+                junk.append(at)
+        declared = len(edges) + (rng.below(3) - 1 if rng.below(4) == 0 else 0)
+        out = ["# edge list", f"{token(n)}\t{token(declared)}"]
+        for i, (u, v) in enumerate(edges):
+            if i in junk:
+                out.append(("0 1 2", "7", "x 1", "1.5 0", "0x1 2", "1 -")[rng.below(6)])
+            gap = (" ", "\t", "   ", " \t ")[rng.below(4)]
+            out.append(f"{' ' * rng.below(2)}{token(u)}{gap}{token(v)}{' ' * rng.below(2)}")
+            if rng.below(5) == 0:
+                out.append(("", "   ", "# a comment", "  # indented")[rng.below(4)])
+        if len(edges) in junk:
+            out.append("1 2 3")
+        text = ("\r\n" if rng.below(2) else "\n").join(out) + "\n" * rng.below(2)
+        yield text.encode("utf-8") if rng.below(3) == 0 else text
+    yield from ("", "# only a comment\n", "3\n", "a 2\n0 1\n", "2 1 0\n0 1\n", b"1 0\r\n")
+
+
+def _outcome(build, *args):
+    """``build(*args)`` as (n, adjacency), or the input error it raised."""
+    try:
+        graph = build(*args)
+    except (GraphFormatError, GraphValidationError) as exc:
+        return type(exc), str(exc)
+    return graph if isinstance(graph, tuple) else (graph.n, graph.adjacency)
+
+
+def test_load_graph_matches_the_reference_loader():
+    # the same exception type and message, or an equal graph, on every text
+    kinds = ("out of range for", str(1 << 64), "loop", "duplicate", "not connected",
+             "header must", "non-integer header", "non-integer edge", "edge line must",
+             "header declares", "empty")
+    seen = set()
+    for text in _loader_corpus(600, seed=27):
+        want = _outcome(reference_load_graph, text)
+        assert _outcome(load_graph, text) == want, text
+        seen.update(kind for kind in kinds if kind in str(want[1]))
+        seen.add(type(want[1]))
+    # every error kind came up, and graphs were built
+    assert seen == {*kinds, str, tuple}
+
+
+def test_from_edges_matches_the_reference_builder():
+    for text in _loader_corpus(300, seed=28):
+        if isinstance(text, bytes):
+            text = text.decode()
+        lines = [ln.split() for ln in text.splitlines() if ln.strip() and "#" not in ln]
+        if len(lines) < 2 or any(len(p) != 2 for p in lines):
+            continue
+        try:
+            n, edges = int(lines[0][0]), [(int(u), int(v)) for u, v in lines[1:]]
+        except ValueError:
+            continue
+        assert _outcome(Graph.from_edges, n, edges) == _outcome(reference_from_edges, n, edges)
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+
+def test_csr_contract_of_every_generator(monkeypatch):
+    # every `kgc gen` family, plain and subdivided: rows ascending and
+    # symmetric, indptr[-1] = 2m, both arrays read-only intp, and the
+    # adjacency tuples those of the reference builder on the generator's
+    # own edge list
+    from kgc.cli import _FAMILIES
+
+    built = []
+    from_edges = Graph.from_edges.__func__
+
+    def spy(cls, n, edges):
+        built.append((n, list(edges)))
+        return from_edges(cls, n, built[-1][1])
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(spy))
+
+    def check(g):
+        assert reference_from_edges(*built[-1]) == (g.n, g.adjacency)
+        for a in (g.indptr, g.indices):
+            assert a.dtype == np.intp and not a.flags.writeable
+        assert g.indptr[0] == 0 and g.indptr[-1] == 2 * g.m == g.indices.size
+        rows = [g.indices[a:b].tolist() for a, b in zip(g.indptr, g.indptr[1:])]
+        assert all(row == sorted(set(row)) for row in rows)
+        arcs = {(u, w) for u, row in enumerate(rows) for w in row}
+        assert arcs == {(w, u) for u, w in arcs}
+        return g
+
+    flags = {"n": 11, "leaves": 6, "w": 3, "h": 4, "m": 17, "seed": 5}
+    for generate, names in _FAMILIES.values():
+        check(subdivide(check(generate(*(flags[name] for name in names))), 3))
+
+
+def test_graph_equality_reads_n_and_the_arrays():
+    g = random_connected(9, 14, seed=2)
+    same = Graph.from_edges(9, [(v, u) for u, v in reversed(list(g.edges()))])
+    assert same == g and same.indices is not g.indices
+    assert g != random_connected(9, 14, seed=3)
+    assert path_graph(1) != path_graph(2) and path_graph(3) != star_graph(2)
+    assert g != (g.n, g.adjacency) and g != None  # noqa: E711
+
+
+def test_hops_marks_unreached_vertices():
+    # two components, 0-1 and 2-3-4, built directly: from_edges would
+    # refuse the graph
+    g = Graph(5, np.array([0, 1, 2, 3, 5, 6]), np.array([1, 0, 3, 2, 4, 3]))
+    assert graph_core.hops(g, [0]) == [0, 1, -1, -1, -1]
+    assert graph_core.hops(g, [4, 0]) == [0, 1, 2, 1, 0]
+    assert graph_core.hops(g, []) == [-1] * 5
 
 
 def test_star_layout():
@@ -284,9 +437,8 @@ def test_apsp_matches_reference_bfs_in_tiny_slices(monkeypatch):
 
 
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``g``'s degrees and its neighbour lists end to end, as _bfs reads them."""
-    deg = np.array([len(ns) for ns in g.adjacency], dtype=np.int64)
-    return deg, np.array([w for ns in g.adjacency for w in ns], dtype=np.int64)
+    """``g``'s CSR arrays, as _bfs reads them."""
+    return g.indptr, g.indices
 
 
 def test_bfs_writes_the_same_distances_in_int16_and_int32():
@@ -336,10 +488,10 @@ def test_apsp_searches_only_the_two_core(monkeypatch):
     seen = []
     search = graph_core._bfs
 
-    def spy(deg, indices, dtype):
-        sources = np.repeat(np.arange(deg.size), deg)
-        seen.append((deg.size, set(zip(sources.tolist(), indices.tolist()))))
-        return search(deg, indices, dtype)
+    def spy(indptr, indices, dtype):
+        sources = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        seen.append((indptr.size - 1, set(zip(sources.tolist(), indices.tolist()))))
+        return search(indptr, indices, dtype)
 
     monkeypatch.setattr(graph_core, "_bfs", spy)
     for g in _apsp_corpus():
