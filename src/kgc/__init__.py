@@ -27,7 +27,7 @@ from .graph_core import (
     subdivide,
 )
 from .geodesics import VertexPath, family_eccentricity, is_isometric
-from .rooted_cover import PackingWitness, RootedSolution, verify_packing
+from .rooted_cover import RootedSolution, verify_packing
 from .shallow_pairing import Pairing
 from .solver import BoundReport, SolveResult, solve
 from .oracle import OracleCaps, OracleResult, exact_optimum
@@ -54,7 +54,6 @@ __all__ = [
     "VertexPath",
     "family_eccentricity",
     "is_isometric",
-    "PackingWitness",
     "RootedSolution",
     "verify_packing",
     "Pairing",

@@ -61,9 +61,6 @@ class _Budget:
 def _all_geodesics(g: Graph, D: np.ndarray, caps: OracleCaps):
     """Every geodesic between every vertex pair (s <= t), deduplicated by
     vertex set; first occurrence in (s, t, lex) order is the canonical rep."""
-    if g.n * (g.n + 1) // 2 > caps.max_paths:
-        # every pair s <= t has at least one geodesic
-        raise CapExceededError(f"more than {caps.max_paths} geodesics")
     total = 0
     seen: set[frozenset[int]] = set()
     canon: list[VertexPath] = []
@@ -80,6 +77,15 @@ def _all_geodesics(g: Graph, D: np.ndarray, caps: OracleCaps):
                     seen.add(key)
                     canon.append(p)
     return canon, total
+
+
+def check_exact_input(g: Graph, k: int, caps: OracleCaps) -> None:
+    """What ``exact_optimum`` checks before it reads any distance: k is in
+    [1, n], and the graph has no more vertex pairs s <= t than
+    ``caps.max_paths`` allows geodesics, since every pair has one."""
+    check_k(g, k)
+    if g.n * (g.n + 1) // 2 > caps.max_paths:
+        raise CapExceededError(f"more than {caps.max_paths} geodesics")
 
 
 def _drop_dominated(masks: list[int]) -> list[int]:
@@ -183,7 +189,7 @@ def exact_optimum(
     every smaller radius.
     """
     caps = caps or OracleCaps()
-    check_k(g, k)
+    check_exact_input(g, k, caps)
     paths, enumerated = _all_geodesics(g, D, caps)
     budget = _Budget(caps.max_combinations)
     full = (1 << g.n) - 1

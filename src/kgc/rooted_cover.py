@@ -58,25 +58,22 @@ class RootedOutcome:
 
 
 @dataclass(frozen=True)
-class PackingWitness:
-    radius: int
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RootedSolution:
+    """The rooted claim: a root, a radius at which the greedy covers from
+    it, that cover, and the sorted 2k-vertex packing at ``radius - 1``,
+    which shows that no 2k - 1 paths from the root cover below ``radius``
+    (None at radius 0).  ``as_dict`` writes the packing as the JSON's
+    ``packing_witness``."""
+
     root: int
     radius: int
     cover: tuple[VertexPath, ...]
-    packing_witness: PackingWitness | None
+    packing: tuple[int, ...] | None
 
     def as_dict(self) -> dict:
         witness = None
-        if self.packing_witness is not None:
-            witness = {
-                "R": self.packing_witness.radius,
-                "vertices": list(self.packing_witness.vertices),
-            }
+        if self.packing is not None:
+            witness = {"R": self.radius - 1, "vertices": list(self.packing)}
         return {
             "root": self.root,
             "R": self.radius,
@@ -416,16 +413,11 @@ def tree_radius_is_least(g: Graph, dist, radius: int, k: int) -> bool:
     return not (count(radius - 1) < 2 * k).any()
 
 
-def _rooted_solution(
-    g: Graph, dist, root: int, radius: int, picks, packing
-) -> RootedSolution:
+def _rooted_solution(g: Graph, dist, root: int, radius: int, picks, packing) -> RootedSolution:
     """The canonical geodesics root -> pick of a cover at ``radius``, with
-    the sorted packing found one below it as the witness."""
-    witness = None
-    if packing is not None:
-        witness = PackingWitness(radius=radius - 1, vertices=tuple(sorted(packing)))
-    cover = _geodesics(g, dist, root, picks)
-    return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+    the packing found one below it, sorted."""
+    packing = None if packing is None else tuple(sorted(packing))
+    return RootedSolution(root, radius, _geodesics(g, dist, root, picks), packing)
 
 
 def best_root(g: Graph, dist, k: int) -> RootedSolution:

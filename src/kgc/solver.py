@@ -47,13 +47,11 @@ class SolveResult:
         }
 
 
-def build_profile(rooted: RootedSolution, k: int) -> tuple[int, ...]:
-    """Even profile of length 2k: the root, the far endpoint of every cover
-    path, then copies of the root padding out short covers."""
-    u = rooted.root
-    endpoints = [p[-1] for p in rooted.cover]
-    padding = (2 * k - 1) - len(endpoints)
-    return (u, *endpoints, *([u] * padding))
+def build_profile(root: int, cover, k: int) -> tuple[int, ...]:
+    """Even profile of length 2k: the root, the far endpoint of every path
+    of its rooted cover, then copies of the root padding out short covers."""
+    endpoints = [p[-1] for p in cover]
+    return (root, *endpoints, *([root] * (2 * k - 1 - len(endpoints))))
 
 
 def bound_range(rooted_radius: int, tau_doubled: int) -> tuple[int, int]:
@@ -89,7 +87,7 @@ def solve(g: Graph, k: int, *, tau_hat_doubled: int | None = None) -> SolveResul
         tau_source = "computed"
 
     rooted = best_root(g, dist, k)
-    profile = build_profile(rooted, k)
+    profile = build_profile(rooted.root, rooted.cover, k)
     pairing = min_gamma_pairing(dist[list(profile)], profile)
     pair_paths = paths_of_pairing(g, dist[[y for _, y in pairing.pairs]], pairing)
     paths = tuple(dict.fromkeys(pair_paths))  # drop duplicates, keep order

@@ -14,7 +14,6 @@ from kgc import (
     GraphFormatError,
     GraphValidationError,
     OracleCaps,
-    PackingWitness,
     Pairing,
     RootedSolution,
     SolveResult,
@@ -292,8 +291,7 @@ def reference_search_root(g, D, r, k, stop_at=None, first_probe=None):
             lo, packing_at_lo = mid, out.packing
     if cover_at_hi is None:
         cover_at_hi = reference_cover_or_packing(g, D, r, hi, k).cover
-    witness = PackingWitness(radius=hi - 1, vertices=packing_at_lo) if hi > 0 else None
-    return hi, cover_at_hi, witness
+    return hi, cover_at_hi, packing_at_lo if hi > 0 else None
 
 
 def reference_best_root(g, D, k, prune=True) -> RootedSolution:
@@ -306,10 +304,10 @@ def reference_best_root(g, D, k, prune=True) -> RootedSolution:
         below = best[0] - 1 if prune and best is not None else None
         found = reference_search_root(g, D, r, k, below, below)
         if found is not None and (best is None or found[0] < best[0]):
-            radius, cover, witness = found
-            best = (radius, r, cover, witness)
-    radius, root, cover, witness = best
-    return RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+            radius, cover, packing = found
+            best = (radius, r, cover, packing)
+    radius, root, cover, packing = best
+    return RootedSolution(root=root, radius=radius, cover=cover, packing=packing)
 
 
 def solve_from(g, D, rooted: RootedSolution, k: int, tau_hat_doubled=None) -> SolveResult:
@@ -321,7 +319,7 @@ def solve_from(g, D, rooted: RootedSolution, k: int, tau_hat_doubled=None) -> So
         tau, source = 4 * four_point_delta(D), "computed"
     else:
         tau, source = tau_hat_doubled, "supplied"
-    profile = build_profile(rooted, k)
+    profile = build_profile(rooted.root, rooted.cover, k)
     pairing = min_gamma_pairing(D[list(profile)], profile)
     paths = tuple(dict.fromkeys(shortest_path(g, D[y], x) for x, y in pairing.pairs))
     lower, upper = bound_range(rooted.radius, tau)
@@ -510,7 +508,7 @@ def min_radius_for_root(g: Graph, D: np.ndarray, r: int, k: int):
     greedy = _Greedy(D, g.n, g.is_tree())
     _, picks = greedy.run([r], g.n, k)  # radius n covers
     found = _rooted_solution(g, D, r, *_search_root(greedy, r, k, g.n, picks[0]))
-    return found.radius, found.cover, found.packing_witness
+    return found.radius, found.cover, found.packing
 
 
 def solve_tree(g: Graph, k: int) -> SolveResult:

@@ -161,12 +161,12 @@ def test_criterion_3_certificates(tree_instances, general_instances):
     for g, D, k, res, opt, tau in combined:
         rooted = res.rooted
         if rooted.radius > 0:
-            witness = rooted.packing_witness
+            witness = rooted.as_dict()["packing_witness"]
             if (
                 witness is None
-                or witness.radius != rooted.radius - 1
-                or len(witness.vertices) != 2 * k
-                or not verify_packing(g, D, rooted.root, witness.radius, witness.vertices)
+                or witness["R"] != rooted.radius - 1
+                or len(witness["vertices"]) != 2 * k
+                or not verify_packing(g, D, rooted.root, witness["R"], witness["vertices"])
             ):
                 failures.append(("packing", g.n, g.m, k))
             packing_checked += 1

@@ -475,8 +475,16 @@ def test_verify_checks_rooted_cover(tmp_path, capsys):
         _edit("rooted", "cover", 0, 0, to=str),
         _edit("rooted", "cover", to=lambda v: []),
         _edit("rooted", "cover"),
+        # a rooted path that is not a list
+        *(_edit("rooted", "cover", 0, to=t) for t in (len, lambda p: p[0])),
+        # a non-integer vertex at the root and at the far end; float keeps
+        # the value, and (2.0,) == (2,), so only the shape guard rejects it
+        *(_edit("rooted", "cover", 0, i, to=t) for i in (0, -1) for t in _NON_INTEGERS),
     ]
     _assert_each_edit_fails(tmp_path, capsys, random_tree(30, 7), 2, "rooted", edits)
+    # the same edits on a graph with cycles, where the replay reads apsp
+    g = random_connected(**_PAIRING_GRAPH)
+    _assert_each_edit_fails(tmp_path, capsys, g, 3, "rooted", edits)
 
 
 def _lower_rooted_radius(data):
@@ -747,12 +755,11 @@ def test_tree_commands_build_no_distance_matrix(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_tree_verify_builds_the_root_row_once_for_the_rooted_paths(tmp_path, capsys, monkeypatch):
-    # every rooted path starts at the root, so verify builds the root's row
-    # once for all of them, before their checks: the isometry checks build
-    # one row per cover path and none per rooted path, where they built
-    # one per path of either kind
-    built = []  # per isometry check, the rows it built
+def test_tree_verify_checks_isometry_of_the_artifact_paths_only(tmp_path, capsys, monkeypatch):
+    # the greedy's replay is the whole check of the rooted cover, so verify
+    # runs is_isometric once per artifact path, in order, each building one
+    # row of the tree index, and never on a rooted path
+    checked, built = [], []  # per isometry check, its path and the rows it built
     checking = []
     build, check = graph_core._TreeRows.__getitem__, kgc.cli.is_isometric
 
@@ -762,6 +769,7 @@ def test_tree_verify_builds_the_root_row_once_for_the_rooted_paths(tmp_path, cap
         return build(self, ids)
 
     def count_check(g, dist, path):
+        checked.append(path)
         built.append(0)
         checking.append(path)
         try:
@@ -778,11 +786,13 @@ def test_tree_verify_builds_the_root_row_once_for_the_rooted_paths(tmp_path, cap
                              "--tau-hat-doubled", "0", "-o", solved)
         data = json.loads(Path(solved).read_text())
         assert code == 0 and len(data["rooted"]["cover"]) >= 5
+        checked.clear()
         built.clear()
         code, out, _ = run_cli(capsys, "verify", "-g", gpath, "--cover", solved,
                                "--radius", str(data["radius"]))
         assert code == 0 and json.loads(out)["ok"] is True
-        assert built == [1] * len(data["paths"]) + [0] * len(data["rooted"]["cover"])
+        assert checked == data["paths"]
+        assert built == [1] * len(data["paths"])
 
 
 def test_tree_verify_matches_the_matrix_path(tmp_path, capsys, monkeypatch):
@@ -828,8 +838,8 @@ def _artifact_from_root(g, k, root, tau_hat_doubled):
     the greedy's least radius there, its cover and witness, and the
     pairing, paths and bounds recomputed from them."""
     D = apsp(g)
-    radius, cover, witness = min_radius_for_root(g, D, root, k)
-    rooted = RootedSolution(root=root, radius=radius, cover=cover, packing_witness=witness)
+    radius, cover, packing = min_radius_for_root(g, D, root, k)
+    rooted = RootedSolution(root=root, radius=radius, cover=cover, packing=packing)
     return solve_from(g, D, rooted, k, tau_hat_doubled).as_dict()
 
 
@@ -875,6 +885,21 @@ def test_verify_checks_the_artifact_before_any_distance_work(tmp_path, capsys, m
     assert calls == []
     artifact.write_text(json.dumps({"k": 2, "paths": paths, "radius": 3}))
     assert run_cli(capsys, "verify", "-g", gpath, "--cover", str(artifact), "--radius", "3")[0] == 0
+    assert len(calls) == 1
+
+
+def test_exact_checks_its_caps_before_any_distance_work(tmp_path, capsys, monkeypatch):
+    # 1200 * 1201 / 2 vertex pairs exceed the default path cap, and k 0 is
+    # out of range: both exit before apsp builds the matrix
+    calls = _spy_apsp(monkeypatch)
+    gpath = write_graph(tmp_path, path_graph(1200), "p1200.txt")
+    code, out, err = run_cli(capsys, "exact", "-g", gpath, "-k", "1")
+    assert code == 2 and out == "" and "more than 200000 geodesics" in err
+    code, out, err = run_cli(capsys, "exact", "-g", gpath, "-k", "0")
+    assert code == 1 and out == "" and "k must be" in err
+    assert calls == []
+    gpath = write_graph(tmp_path, path_graph(4), "p4.txt")
+    assert run_cli(capsys, "exact", "-g", gpath, "-k", "1")[0] == 0
     assert len(calls) == 1
 
 

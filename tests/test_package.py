@@ -24,7 +24,6 @@ PUBLIC = [
     "GraphValidationError",
     "OracleCaps",
     "OracleResult",
-    "PackingWitness",
     "Pairing",
     "RootedSolution",
     "SolveResult",
@@ -113,3 +112,10 @@ def test_readme_quickstart_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_lists_each_public_name_once():
+    # one line per name of __all__, under its own heading, and no other name
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### The package namespace\n", 1)[1].split("\n#", 1)[0]
+    assert sorted(re.findall(r"^- `(\w+)`: ", section, re.M)) == PUBLIC

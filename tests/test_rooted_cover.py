@@ -105,10 +105,10 @@ def test_min_radius_examples():
     assert min_radius_for_root(p5, apsp(p5), 0, 1)[0] == 0
 
     s5 = star_graph(5)
-    radius, cover, witness = min_radius_for_root(s5, apsp(s5), 1, 2)
+    radius, cover, packing = min_radius_for_root(s5, apsp(s5), 1, 2)
     assert radius == 1
-    assert witness is not None and witness.radius == 0
-    assert witness.vertices == (2, 3, 4, 5)
+    assert packing == (2, 3, 4, 5)
+    assert verify_packing(s5, apsp(s5), 1, radius - 1, packing)
     assert family_eccentricity(s5, cover) <= 1
 
 
@@ -126,13 +126,13 @@ def test_min_radius_matches_linear_scan_random():
         D = apsp(g)
         for k in (1, 2):
             for r in range(0, g.n, 3):
-                radius, cover, witness = min_radius_for_root(g, D, r, k)
+                radius, cover, packing = min_radius_for_root(g, D, r, k)
                 outcomes = scan_root(g, D, r, k)
                 assert radius == outcomes.index(True)
                 assert cover is not None and len(cover) <= 2 * k - 1
                 if radius > 0:
-                    assert witness is not None
-                    assert verify_packing(g, D, r, witness.radius, witness.vertices)
+                    assert packing is not None
+                    assert verify_packing(g, D, r, radius - 1, packing)
 
 
 def test_best_root_examples():

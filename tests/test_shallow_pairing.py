@@ -493,7 +493,8 @@ def test_min_gamma_pairing_screens_before_matching(monkeypatch):
     for seed in (1, 3, 5):
         g = random_connected(120, 144, seed)
         D = apsp(g)
-        pi = build_profile(best_root(g, D, 9), 9)
+        rooted = best_root(g, D, 9)
+        pi = build_profile(rooted.root, rooted.cover, 9)
 
         parent_calls = []
         with monkeypatch.context() as patch:
@@ -581,7 +582,8 @@ def test_min_gamma_pairing_matches_reference_past_the_leaf_screen(monkeypatch):
         g = random_connected(50 + 10 * seed, 60 + 12 * seed, 900 + seed)
         D = apsp(g)
         k = 6 + rng.below(7)
-        for pi in (build_profile(best_root(g, D, k), k), *_profiles(rng, g.n, k)):
+        rooted = best_root(g, D, k)
+        for pi in (build_profile(rooted.root, rooted.cover, k), *_profiles(rng, g.n, k)):
             parent_calls, graphs = [], []
             with monkeypatch.context() as patch:
                 _record(patch, conftest, "reference_perfect_matching", parent_calls)

@@ -49,8 +49,8 @@ def test_solve_star5_k2_matches_oracle():
     oracle = exact_optimum(g, apsp(g), 2)
     assert oracle.optimum == 1
     # the packing witness certifies no rooted family works at radius 0
-    assert res.rooted.packing_witness is not None
-    assert res.rooted.packing_witness.radius == 0
+    assert res.rooted.packing is not None
+    assert res.rooted.as_dict()["packing_witness"]["R"] == 0
 
 
 def test_solve_spider_k1_exact():
@@ -102,7 +102,7 @@ def test_bound_range_matches_exact_rationals():
 
 def test_profile_shape():
     res = solve(star_graph(5), 2)
-    profile = build_profile(res.rooted, 2)
+    profile = build_profile(res.rooted.root, res.rooted.cover, 2)
     assert len(profile) == 4
     assert profile[0] == res.rooted.root
     # every non-root cover endpoint shows up
