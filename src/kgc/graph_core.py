@@ -18,7 +18,9 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 DELTA_VERTEX_CAP = 512
-_APSP_SLICE = 1 << 14  # frontier cells and edges expanded per step of apsp
+_APSP_SLICE = 1 << 14  # cells in a slice of apsp's core rows and of its cell search's steps
+_APSP_WORDS = 8  # 64-source words per block of apsp's bit search
+_BIT_LEVELS = 512  # level bound up to which apsp searches on bits
 
 _MASK64 = (1 << 64) - 1
 
@@ -137,17 +139,25 @@ def _from_ids(n: int, ids: list[int]) -> Graph:
 def hops(g: Graph, sources: Iterable[int]) -> list[int]:
     """Each vertex's hop distance from the nearest of ``sources``, -1 where
     none reaches it: one breadth-first search."""
-    adj = g.adjacency
-    dist = [-1] * g.n
-    queue = list(sources)
-    for s in queue:
+    return _hops(g.adjacency, sources)
+
+
+def _hops(adj, sources: Iterable[int]) -> list[int]:
+    """:func:`hops` over neighbour lists ``adj``, one level at a time."""
+    dist = [-1] * len(adj)
+    level = list(sources)
+    for s in level:
         dist[s] = 0
-    for u in queue:  # the queue grows while the loop reads it
-        step = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = step
-                queue.append(w)
+    step = 0
+    while level:
+        step += 1
+        reached = []
+        for u in level:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = step
+                    reached.append(w)
+        level = reached
     return dist
 
 
@@ -355,7 +365,14 @@ def apsp(g: Graph) -> np.ndarray:
     Vertices of degree 1 are peeled until none is left, or on a tree until
     one vertex is left; each peeled vertex hangs from the one neighbour
     still present when it goes.  What remains is the 2-core, and only it
-    gets the all-sources search (:func:`_bfs`).  A peeled vertex t lies in
+    gets the all-sources search (:func:`_bfs`).  That search runs on bits
+    when the core is short: one bit per (vertex, source), 64 sources a
+    word, each level one OR of the neighbours' frontier words, and the
+    level numbers kept in bit planes, one per bit, that are unpacked once
+    per block of sources rather than once per level.  A core whose level
+    bound (twice one vertex's eccentricity) is over ``_BIT_LEVELS``, a long
+    cycle or ladder, is searched cell by cell instead, since each level of
+    the bit search costs a pass over every arc.  A peeled vertex t lies in
     a pendant tree at depth h(t) below its core anchor a(t), and every path
     from t to the core runs through a(t), so a core row reads
     ``d(c, t) = d(c, a(t)) + h(t)``.  A peeled vertex v with parent p ends
@@ -366,8 +383,9 @@ def apsp(g: Graph) -> np.ndarray:
 
     With no vertex of degree 1 the core is the whole graph and its search
     result is the matrix.  Otherwise the memory beyond the n x n result is
-    the core's own c x c matrix, the search's sliced temporaries and a few
-    arrays of n entries.
+    the core's own c x c matrix, the search's temporaries (fixed-size
+    slices of cells, or a block's words and planes), core rows written a
+    slice at a time and a few arrays of n entries.
     """
     n = g.n
     adj = g.adjacency
@@ -416,10 +434,12 @@ def apsp(g: Graph) -> np.ndarray:
     d = np.empty((n, n), dtype=dtype)
     anchor_col = np.array(anchor, dtype=np.intp)
     depth_col = np.array(depth, dtype=dtype)
-    for i, a in enumerate(core):
-        row = d[a]
-        np.take(core_d[i], anchor_col, out=row)
-        row += depth_col
+    core_col = np.array(core, dtype=np.intp)
+    step = max(1, _APSP_SLICE // n)
+    for lo in range(0, len(core), step):
+        rows = core_d[lo : lo + step].take(anchor_col, axis=1)
+        rows += depth_col
+        d[core_col[lo : lo + step]] = rows
     order_col = np.array(order, dtype=np.intp)
     for start, v in enumerate(order):
         row = d[v]
@@ -503,9 +523,98 @@ def tree_eccentricities(dist) -> np.ndarray:
 def _bfs(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
     """Hop distances of a connected graph in CSR form (vertex v's
     neighbours are ``indices[indptr[v]:indptr[v + 1]]``, as in
-    :class:`Graph`): one breadth-first search from all sources at once,
-    as a writeable matrix of the signed integer ``dtype``, which must hold
-    n - 1.
+    :class:`Graph`), as a writeable matrix of the signed integer ``dtype``,
+    which must hold n - 1: one breadth-first search from all sources at
+    once, on bits (:func:`_bit_bfs`) when its level bound is at most
+    ``_BIT_LEVELS``, else on cells (:func:`_cell_bfs`).
+
+    The bit search pays for every level with a pass over every arc, the
+    cell search only for the cells a level reaches, so long graphs (cycles,
+    ladders) stay on cells.  No search runs more levels than the diameter,
+    which is at most twice the eccentricity of vertex 0: one plain search
+    from it gives the bound.  The constant is measured: the two searches
+    took about as long at 400 to 500 levels on cycles and ladders, and
+    the bit search took a quarter of the time at 113 levels on a grid.
+    """
+    nbrs, ends = indices.tolist(), indptr.tolist()
+    adj = [nbrs[a:b] for a, b in zip(ends, ends[1:])]
+    if 2 * max(_hops(adj, [0])) <= _BIT_LEVELS:
+        return _bit_bfs(indptr, indices, dtype)
+    return _cell_bfs(indptr, indices, dtype)
+
+
+def _bit_bfs(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
+    """:func:`_bfs` on bits: one bit per (vertex, source), for blocks of
+    ``64 * _APSP_WORDS`` sources at a time.
+
+    A block holds, per vertex, its frontier bits, the sources not yet seen
+    and one bit plane per bit of the level number.  A level ORs each
+    vertex's neighbours' frontier rows, keeps the sources not yet seen,
+    and ORs the new bits into the planes of the level's set bits, so a
+    cell's distance is the sum of 2^b over the planes b that hold it.
+    The planes are unpacked once per block, not once per level.
+
+    Vertices are renumbered by degree, highest first, so the j-th
+    neighbours of the vertices that have one are a prefix of the rows: a
+    level's OR is one gather per neighbour slot j into that prefix, with
+    no padding.  This measured about three times faster than
+    ``np.bitwise_or.reduceat`` over the CSR segments on a 70 x 70 grid.
+    """
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    order = np.argsort(-deg, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    # vertices with more than j neighbours, for each j
+    more = n - np.cumsum(np.bincount(deg))[:-1]
+    firsts = indptr[order]
+    slots = [rank[indices[firsts[:size] + j]] for j, size in enumerate(more.tolist())]
+    out = np.empty((n, n), dtype=dtype)
+    for lo in range(0, n, 64 * _APSP_WORDS):
+        sources = np.arange(lo, min(n, lo + 64 * _APSP_WORDS))
+        width = (sources.size + 63) // 64
+        front = np.zeros((n, width), dtype=np.uint64)
+        # set bytewise, so that the unpacking below reads on any byte order
+        front.view(np.uint8)[rank[sources], (sources - lo) // 8] = 1 << (sources - lo) % 8
+        unseen = ~front
+        reached = np.empty_like(front)
+        gathered = np.empty_like(front)
+        planes: list[np.ndarray] = []  # plane b: the cells whose level has bit b
+        level = 0
+        while True:
+            level += 1
+            reached[:] = 0
+            for rows in slots:
+                part = gathered[: rows.size]
+                front.take(rows, axis=0, out=part)
+                reached[: rows.size] |= part
+            reached &= unseen
+            if not reached.any():
+                break
+            unseen ^= reached
+            for b in range(level.bit_length()):
+                if level >> b & 1:
+                    if b == len(planes):
+                        planes.append(reached.copy())
+                    else:
+                        planes[b] |= reached
+            front, reached = reached, front
+        # rows back in vertex order, one 64-source word at a time
+        planes = [plane[rank] for plane in planes]
+        shifted = np.empty((n, 64), dtype=dtype)
+        for word in range(width):
+            dist = np.zeros((n, 64), dtype=dtype)
+            for b, plane in enumerate(planes):
+                bits = np.unpackbits(plane[:, word : word + 1].view(np.uint8), axis=1, bitorder="little")
+                np.left_shift(bits, b, out=shifted, dtype=dtype)
+                dist += shifted
+            at = sources[64 * word : 64 * word + 64]
+            out[at] = dist[:, : at.size].T
+    return out
+
+
+def _cell_bfs(indptr: np.ndarray, indices: np.ndarray, dtype) -> np.ndarray:
+    """:func:`_bfs` on cells.
 
     Level-synchronous over a flat frontier of cells ``source*n + vertex``:
     each level expands the frontier through CSR neighbour arrays, keeps the

@@ -20,7 +20,9 @@ best root overall.
 
 One kernel, ``_Greedy``, runs the greedy from one root or from many in
 lockstep; ``best_root`` uses the batch to refute the roots that cannot
-beat the incumbent, and the one-root call for every binary search.
+beat the incumbent, and the one-root call for every binary search.  On a
+graph that is not a tree the one-root call holds its vertex sets as
+Python ints, one bit a vertex.
 
 Where the greedy's outcome follows from a count, ``best_root`` counts
 instead of running it.  Call the r-height h_r(u) of a vertex u the
@@ -140,6 +142,11 @@ class _Greedy:
     graphs take ``_survivors``, so only they build alignment rows, the
     packed ball matrix and the per-member rows sliced to the cell budget.
     The caller says whether the graph is a ``tree``.
+
+    A run from one root on such a graph takes ``_run_one`` instead: the
+    same picks, with the alive set, the alignment rows and the ball rows
+    as ints, so each pick costs a few numpy calls on one distance row and
+    some int ORs instead of a lockstep step's sliced numpy rows.
     """
 
     def __init__(self, dist, n: int, tree: bool):
@@ -148,6 +155,8 @@ class _Greedy:
         self.dist = dist
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
         self._ball: tuple[int, np.ndarray] | None = None  # last radius, its rows
+        self._ball_ints: tuple[int, list[int]] | None = None  # the same rows as ints
+        self._aligned_rows: tuple[int, dict[int, int]] | None = None  # last root, its rows
 
     def max_roots(self) -> int:
         return max(1, _CELLS // self.n)
@@ -162,6 +171,37 @@ class _Greedy:
                 bits[part, : packed.shape[1]] = packed
             self._ball = (radius, bits)
         return self._ball[1]
+
+    def ball_ints(self, radius: int) -> list[int]:
+        """The rows of :meth:`ball_bits` as ints (see :func:`_as_int`),
+        likewise kept for the last radius asked for."""
+        if self._ball_ints is None or self._ball_ints[0] != radius:
+            packed = self.ball_bits(radius)
+            data, width = packed.tobytes(), packed.shape[1]
+            rows = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+            self._ball_ints = (radius, rows)
+        return self._ball_ints[1]
+
+    def _aligned(self, r: int, dr: np.ndarray, members: list[int]) -> int:
+        """The vertices a aligned through the root r, whose distance row is
+        ``dr``, with some c of ``members``: d(c,a) = |d(r,a) - d(r,c)|, as
+        an int (see :func:`_as_int`).  Each c's row is kept for the last
+        root asked for."""
+        if self._aligned_rows is None or self._aligned_rows[0] != r:
+            self._aligned_rows = (r, {})
+        known = self._aligned_rows[1]
+        missing = np.array([c for c in members if c not in known], dtype=np.intp)
+        for part in _slices(missing.size, self.n):
+            at = missing[part]
+            gap = dr[None, :] - dr[at][:, None]
+            np.abs(gap, out=gap)
+            packed = np.packbits(gap == self.dist[at], axis=1)
+            for c, row in zip(at.tolist(), packed):
+                known[c] = int.from_bytes(row.tobytes(), "little")
+        near = 0
+        for c in members:
+            near |= known[c]
+        return near
 
     def _survivors(self, dr: np.ndarray, v: np.ndarray, radius: int) -> np.ndarray:
         """Rows of the vertices that survive the picks ``v`` at radius > 0
@@ -210,6 +250,8 @@ class _Greedy:
         emptied the graph.  A pick within ``radius`` of the root ends the
         run as a cover: the root is aligned with every vertex, so all die.
         """
+        if len(roots) == 1 and not self.tree:
+            return self._run_one(int(roots[0]), radius, k)
         m = len(roots)
         covered = np.zeros(m, dtype=bool)
         picks = np.zeros((m, 2 * k), dtype=np.int64)
@@ -244,6 +286,63 @@ class _Greedy:
             else:
                 score *= self._survivors(dr, v, radius)
         return covered, [tuple(p[:size].tolist()) for p, size in zip(picks, length)]
+
+    def _run_one(self, r: int, radius: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """:meth:`run` from the one root r on a graph that is not a tree,
+        on vertex sets held as ints (:func:`_as_int`).
+
+        The alive vertices are one int.  The farthest alive vertex is the
+        first alive one in the order of (-d(r,u), u), the argmax's tie rule;
+        the first pick is the argmax itself, and the order is sorted only
+        when a second pick is needed.  A pick v at radius 0 kills the
+        vertices aligned with it through r.  At a larger radius it kills
+        ``_survivors``' kill set: the vertices aligned with the sphere
+        {c : d(v,c) = radius}, minus v's ball, give the balls to OR into
+        v's 2R-ball.  Alignment rows are kept for the root, ball rows for
+        the radius, so a binary search from one root builds each row once.
+        """
+        n = self.n
+        dr = self.dist[r]
+        far = dr.tolist()
+        v = int(dr.argmax())
+        picks = [v]
+        alive = _as_int(np.ones(n, dtype=bool))
+        order: list[int] | None = None
+        at = 0
+        while far[v] > radius:
+            if radius == 0:
+                kill = self._aligned(r, dr, [v])
+            else:
+                dv = self.dist[v]
+                balls = self.ball_ints(radius)
+                near = self._aligned(r, dr, np.flatnonzero(dv == radius).tolist())
+                kill = _as_int(dv <= min(2 * radius, n))
+                for a in _members(near & ~balls[v], n):
+                    kill |= balls[a]
+            alive &= ~kill
+            if order is None:
+                order = np.argsort(-dr, kind="stable").tolist()
+            while at < n and not alive >> (order[at] ^ 7) & 1:
+                at += 1
+            if at == n:
+                break
+            v = order[at]
+            picks.append(v)
+            if len(picks) == 2 * k:
+                return np.zeros(1, dtype=bool), [tuple(picks)]
+        return np.ones(1, dtype=bool), [tuple(picks)]
+
+
+def _as_int(row: np.ndarray) -> int:
+    """A boolean row of vertices as an int, packed as ``np.packbits`` packs
+    it: vertex u is bit ``u ^ 7``, the highest bit of a byte first."""
+    return int.from_bytes(np.packbits(row).tobytes(), "little")
+
+
+def _members(bits: int, n: int) -> list[int]:
+    """The vertices of an int of :func:`_as_int`, ascending."""
+    packed = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, count=n)).tolist()
 
 
 def _geodesics(g: Graph, dist, r: int, picks) -> tuple[VertexPath, ...]:

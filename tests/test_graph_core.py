@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import tracemalloc
 
@@ -428,9 +429,60 @@ def test_apsp_matches_reference_bfs():
         _assert_apsp_matches_reference(g)
 
 
+def _force_search(monkeypatch, search: str) -> None:
+    """Make apsp's core search the bit search or the cell search, whatever
+    the core's level bound."""
+    monkeypatch.setattr(graph_core, "_BIT_LEVELS", {"bits": 1 << 30, "cells": -1}[search])
+
+
+@pytest.mark.parametrize("search", ["bits", "cells"])
+def test_apsp_matches_reference_bfs_with_each_search(monkeypatch, search):
+    # the corpus, a long cycle and a long ladder (about 300 levels each),
+    # and a graph denser than the bit search's neighbour slots are long
+    _force_search(monkeypatch, search)
+    for g in [*_apsp_corpus(), cycle_graph(600), grid_graph(300, 2), random_connected(120, 2500, 5)]:
+        _assert_apsp_matches_reference(g)
+
+
+def test_bit_search_in_one_word_blocks(monkeypatch):
+    # blocks of 64 sources: every core of more than 64 vertices is searched
+    # in several blocks, the last one partial
+    _force_search(monkeypatch, "bits")
+    monkeypatch.setattr(graph_core, "_APSP_WORDS", 1)
+    for g in [*_apsp_corpus(), grid_graph(30, 7), cycle_graph(200)]:
+        _assert_apsp_matches_reference(g)
+
+
+def test_bfs_keeps_long_cores_on_cells(monkeypatch):
+    # the bound is twice vertex 0's eccentricity: grids, random and
+    # subdivided graphs go to bits; cycles of over 513 vertices and
+    # ladders of over 256 rungs (vertex 0 at an end), whose levels
+    # outnumber the bit search's gain per level, stay on cells
+    chosen = []
+    for name in ("_bit_bfs", "_cell_bfs"):
+        search = getattr(graph_core, name)
+        monkeypatch.setattr(
+            graph_core, name, lambda *a, name=name, search=search: chosen.append(name) or search(*a)
+        )
+    cases = (
+        (grid_graph(40, 40), "_bit_bfs"),
+        (random_connected(350, 420, 1), "_bit_bfs"),
+        (subdivide(grid_graph(10, 10), 5), "_bit_bfs"),
+        (grid_graph(100, 2), "_bit_bfs"),
+        (cycle_graph(300), "_bit_bfs"),
+        (cycle_graph(1000), "_cell_bfs"),
+        (grid_graph(300, 2), "_cell_bfs"),
+    )
+    for g, expected in cases:
+        chosen.clear()
+        graph_core._bfs(*_csr(g), np.int16)
+        assert chosen == [expected]
+
+
 def test_apsp_matches_reference_bfs_in_tiny_slices(monkeypatch):
     # slices of 32 cells: many pieces per level, and vertices with more
     # edges than a slice holds
+    _force_search(monkeypatch, "cells")
     monkeypatch.setattr(graph_core, "_APSP_SLICE", 32)
     for g in _apsp_corpus():
         _assert_apsp_matches_reference(g)
@@ -442,12 +494,14 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_bfs_writes_the_same_distances_in_int16_and_int32():
-    # the whole graph, with no peeling, searched in both dtypes; the
-    # corpus's long paths are left to apsp's tests
-    for g in _apsp_corpus():
+    # the whole graph, with no peeling, searched in both dtypes by the
+    # search that _bfs chooses and by each search; the corpus's long
+    # paths are left to apsp's tests
+    searches = (graph_core._bfs, graph_core._bit_bfs, graph_core._cell_bfs)
+    for bfs, g in itertools.product(searches, _apsp_corpus()):
         if g.n <= 150:
-            narrow = graph_core._bfs(*_csr(g), np.int16)
-            wide = graph_core._bfs(*_csr(g), np.int32)
+            narrow = bfs(*_csr(g), np.int16)
+            wide = bfs(*_csr(g), np.int32)
             assert narrow.dtype == np.int16 and wide.dtype == np.int32
             assert np.array_equal(narrow, wide)
             assert np.array_equal(wide, reference_apsp(g))
@@ -458,6 +512,7 @@ def test_apsp_is_exact_when_int16_stamps_repeat(monkeypatch):
     # holds more than 2^16 candidate cells, so its int16 dedupe stamps
     # repeat; a repeat may keep a cell twice but never gives a wrong
     # distance
+    _force_search(monkeypatch, "cells")
     monkeypatch.setattr(graph_core, "_APSP_SLICE", 1 << 18)
     slices = graph_core._frontier_slices
     widest = []

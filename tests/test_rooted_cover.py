@@ -277,6 +277,54 @@ def test_best_root_matches_reference_kernel():
                 assert found == reference_best_root(g, D, k, prune=prune)
 
 
+def _one_root_corpus():
+    """Cyclic graphs for the one-root kernel: grids, cycles, ladders,
+    subdivisions, K5, sparse and dense random graphs, and graphs whose
+    pendant trees outweigh their cycles."""
+    tails = Graph.from_edges(
+        30, [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(5, 29)] + [(2, 29)]
+    )
+    return [
+        grid_graph(4, 4),
+        grid_graph(6, 5),
+        cycle_graph(7),
+        cycle_graph(12),
+        grid_graph(9, 2),
+        subdivide(grid_graph(3, 3), 2),
+        subdivide(cycle_graph(5), 3),
+        random_connected(5, 10, 1),  # K5
+        *(random_connected(30, 36, seed) for seed in (181, 182, 183)),
+        random_connected(14, 60, 184),
+        random_connected(20, 120, 185),
+        _two_cycles_with_pendant_trees(),
+        tails,
+    ]
+
+
+def test_one_root_kernel_matches_lockstep_rows_and_reference():
+    # _Greedy.run from one root on a cyclic graph runs on ints; it gives
+    # the picks and outcome of the lockstep rows (the same root twice) and
+    # of the full-matrix greedy: every root, R in {0..4, n}, k in {1, 2, 3},
+    # one kernel per graph, so its kept ball and alignment rows carry over
+    # from run to run
+    runs = 0
+    for g in _one_root_corpus():
+        assert not g.is_tree()
+        D = apsp(g)
+        greedy = kgc.rooted_cover._Greedy(D, g.n, False)
+        for r in range(g.n):
+            for radius in (0, 1, 2, 3, 4, g.n):
+                for k in (1, 2, 3):
+                    covered, picks = greedy.run([r], radius, k)
+                    rows_covered, rows_picks = greedy.run([r, r], radius, k)
+                    assert covered.tolist() == rows_covered[:1].tolist()
+                    assert picks == rows_picks[:1]
+                    found = kgc.rooted_cover._outcome(g, D, r, bool(covered[0]), picks[0])
+                    assert found == reference_cover_or_packing(g, D, r, radius, k)
+                    runs += 1
+    assert runs > 3000
+
+
 def test_survivors_match_full_ball_reference():
     # alignment rows from the sphere d(v, c) = R only, ball rows for the
     # aligned vertices outside the ball only, and the 2R-ball killed
