@@ -86,7 +86,7 @@ class RootedSolution:
 
 
 _CELLS = 1 << 16  # cells in any one score, kill or alignment temporary
-_FIRST_CHUNK = 4  # roots probed together after a cover; doubles up to the budget
+_FIRST_CHUNK = 16  # roots probed together after a cover; doubles up to the budget
 
 
 def _aligned_with_ball(d: np.ndarray, dr: np.ndarray, v: int, radius: int) -> np.ndarray:
@@ -146,11 +146,14 @@ class _Greedy:
     A run from one root on such a graph takes ``_run_one`` instead: the
     same picks, with the alive set, the alignment rows and the ball rows
     as ints, so each pick costs a few numpy calls on one distance row and
-    some int ORs instead of a lockstep step's sliced numpy rows.
+    some int ORs instead of a lockstep step's sliced numpy rows.  At
+    radius 0 it reads the picks off the root's peaks, from the CSR of
+    the graph ``g``, and kills nothing.
     """
 
-    def __init__(self, dist, n: int, tree: bool):
-        self.n = n
+    def __init__(self, g: Graph, dist, tree: bool):
+        self.g = g
+        self.n = g.n
         self.tree = tree
         self.dist = dist
         self.pad = (self.n + 63) // 64 * 64  # row width of bool and bit rows
@@ -219,25 +222,26 @@ class _Greedy:
         within R of the vertex at distance min(R, d(u,v)) from v on a u-v
         geodesic, which lies in B.  So the kill is the 2R-ball plus the
         balls of the aligned vertices outside B, and only those get ball
-        rows."""
+        rows: the nonzeros of each slice of sphere rows, masked to outside
+        B, pick the ball rows ORed into the packed kill, with no merged row
+        per pick in between (a vertex aligned with several sphere members
+        is ORed once for each)."""
         n = self.n
         dv = self.dist[v]
+        outside = dv > radius
+        bits = self.ball_bits(radius)
+        killed = np.zeros((v.size, bits.shape[1]), dtype=np.uint8)
         rows, members = np.divmod(np.flatnonzero(dv == radius), n)
-        near = np.zeros((v.size, self.pad), dtype=bool)
-        for part in _slices(rows.size, self.pad):
+        for part in _slices(rows.size, n):
             at, b = rows[part], members[part]
             gap = dr[at]
             gap -= dr[at, b][:, None]
             np.abs(gap, out=gap)
-            aligned = np.zeros((at.size, self.pad), dtype=bool)
-            np.equal(gap, self.dist[b], out=aligned[:, :n])
-            _or_into(near, at, aligned)
-        near[:, :n] &= dv > radius
-        bits = self.ball_bits(radius)
-        rows, members = np.divmod(np.flatnonzero(near), self.pad)
-        killed = np.zeros((v.size, bits.shape[1]), dtype=np.uint8)
-        for part in _slices(rows.size, bits.shape[1]):
-            _or_into(killed, rows[part], bits[members[part]])
+            aligned = gap == self.dist[b]
+            aligned &= outside[at]
+            i, a = np.divmod(np.flatnonzero(aligned), n)
+            for sub in _slices(i.size, bits.shape[1]):
+                _or_into(killed, at[i[sub]], bits[a[sub]])
         alive = np.unpackbits(~killed, axis=1, count=n).view(bool)
         alive &= dv > min(2 * radius, n)
         return alive
@@ -294,31 +298,37 @@ class _Greedy:
         The alive vertices are one int.  The farthest alive vertex is the
         first alive one in the order of (-d(r,u), u), the argmax's tie rule;
         the first pick is the argmax itself, and the order is sorted only
-        when a second pick is needed.  A pick v at radius 0 kills the
-        vertices aligned with it through r.  At a larger radius it kills
-        ``_survivors``' kill set: the vertices aligned with the sphere
-        {c : d(v,c) = radius}, minus v's ball, give the balls to OR into
-        v's 2R-ball.  Alignment rows are kept for the root, ball rows for
-        the radius, so a binary search from one root builds each row once.
+        when a second pick is needed.  At radius 0 the picks are the first
+        2k peaks in that order, the vertices with no neighbour farther from
+        r (module docstring), read off :func:`_farthest_neighbour`.  At a
+        larger radius a pick v kills ``_survivors``' kill set: v's 2R-ball,
+        and when that leaves some vertex alive, the balls of the vertices
+        aligned with the sphere {c : d(v,c) = radius} outside v's ball.
+        Alignment rows are kept for the root, ball rows for the radius, so
+        a binary search from one root builds each row once.
         """
         n = self.n
         dr = self.dist[r]
         far = dr.tolist()
         v = int(dr.argmax())
+        if radius == 0 and far[v] > 0:
+            peaks = np.flatnonzero(_farthest_neighbour(_degree_classes(self.g), dr) <= dr)
+            picks = peaks[np.argsort(-dr[peaks], kind="stable")][: 2 * k]
+            return np.array([picks.size < 2 * k]), [tuple(picks.tolist())]
         picks = [v]
         alive = _as_int(np.ones(n, dtype=bool))
         order: list[int] | None = None
         at = 0
         while far[v] > radius:
-            if radius == 0:
-                kill = self._aligned(r, dr, [v])
-            else:
-                dv = self.dist[v]
-                balls = self.ball_ints(radius)
-                near = self._aligned(r, dr, np.flatnonzero(dv == radius).tolist())
-                kill = _as_int(dv <= min(2 * radius, n))
-                for a in _members(near & ~balls[v], n):
-                    kill |= balls[a]
+            dv = self.dist[v]
+            alive &= ~_as_int(dv <= min(2 * radius, n))
+            if not alive:
+                break
+            balls = self.ball_ints(radius)
+            near = self._aligned(r, dr, np.flatnonzero(dv == radius).tolist())
+            kill = 0
+            for a in _members(near & ~balls[v], n):
+                kill |= balls[a]
             alive &= ~kill
             if order is None:
                 order = np.argsort(-dr, kind="stable").tolist()
@@ -369,7 +379,7 @@ def cover_or_packing(g: Graph, dist, r: int, radius: int, k: int) -> RootedOutco
     check_k(g, k)
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    covered, picks = _Greedy(dist, g.n, g.is_tree()).run([r], radius, k)
+    covered, picks = _Greedy(g, dist, g.is_tree()).run([r], radius, k)
     return _outcome(g, dist, r, bool(covered[0]), picks[0])
 
 
@@ -422,16 +432,39 @@ def _search_root(greedy: _Greedy, r: int, k: int, hi: int, picks: tuple[int, ...
     return hi, picks, packing
 
 
+def _degree_classes(g: Graph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The vertices of each degree of a graph of at least two vertices, in
+    ascending degree, each with its class x degree matrix of neighbours,
+    read off the CSR."""
+    degree = np.diff(g.indptr)
+    classes = []
+    # bincount, not np.unique, whose first call imports numpy.ma (1.2 MB)
+    for size in np.flatnonzero(np.bincount(degree)).tolist():
+        at = np.flatnonzero(degree == size)
+        classes.append((at, g.indices[g.indptr[at, None] + np.arange(size)]))
+    return classes
+
+
+def _farthest_neighbour(classes, d: np.ndarray) -> np.ndarray:
+    """For a distance row ``d``, or each row of a matrix of them, and each
+    vertex u: the row's largest entry at a neighbour of u, taken one
+    degree class of ``_degree_classes`` at a time, so the numpy calls grow
+    with the number of distinct degrees, not of vertices."""
+    out = np.empty_like(d)
+    for at, nbr in classes:
+        out[..., at] = d[..., nbr].max(axis=-1)
+    return out
+
+
 def _radius0_picks(g: Graph, dist, roots) -> np.ndarray:
     """The greedy's picks at radius 0 from each root, on a graph of at least
     two vertices: the vertices with no neighbour farther from the root.
     Distance rows come from ``dist``."""
-    nbr, starts = g.indices, g.indptr[:-1]
+    classes = _degree_classes(g)
     counts = np.empty(len(roots), dtype=np.intp)
-    for part in _slices(len(roots), nbr.size):
+    for part in _slices(len(roots), g.indices.size):
         d = dist[roots[part]]
-        farthest = np.maximum.reduceat(d[:, nbr], starts, axis=1)
-        counts[part] = np.count_nonzero(farthest <= d, axis=1)
+        counts[part] = np.count_nonzero(_farthest_neighbour(classes, d) <= d, axis=1)
     return counts
 
 
@@ -548,7 +581,7 @@ def best_root(g: Graph, dist, k: int) -> RootedSolution:
     radius it probed (n*n/8 bytes).
     """
     check_k(g, k)
-    greedy = _Greedy(dist, g.n, g.is_tree())
+    greedy = _Greedy(g, dist, g.is_tree())
     if greedy.tree:
         root, radius = _tree_root(g, tree_eccentricities(dist), k)
         _, picks = greedy.run([root], radius, k)

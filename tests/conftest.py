@@ -269,6 +269,20 @@ def reference_survivors(greedy: _Greedy, dr: np.ndarray, v: np.ndarray, radius: 
     return np.unpackbits(~killed, axis=1, count=n).view(bool)
 
 
+def reference_radius0_picks(g, dist, roots) -> np.ndarray:
+    """``rooted_cover._radius0_picks`` over the whole CSR at once: each
+    vertex's farthest neighbour from a gather of the roots' distance rows
+    along ``g.indices`` and one ``np.maximum.reduceat`` over its segments,
+    then the vertices with no neighbour farther, counted per root."""
+    nbr, starts = g.indices, g.indptr[:-1]
+    counts = np.empty(len(roots), dtype=np.intp)
+    for part in _slices(len(roots), nbr.size):
+        d = dist[roots[part]]
+        farthest = np.maximum.reduceat(d[:, nbr], starts, axis=1)
+        counts[part] = np.count_nonzero(farthest <= d, axis=1)
+    return counts
+
+
 def reference_search_root(g, D, r, k, stop_at=None, first_probe=None):
     """Reference one-root binary search over ``reference_cover_or_packing``:
     packing seen at lo (-1 vacuously), cover at hi (n a priori).  The first
@@ -498,14 +512,14 @@ def pairing_distance(D: np.ndarray, pairing) -> int:
 def scan_root(g: Graph, D: np.ndarray, r: int, k: int, upto: int | None = None) -> list[bool]:
     """Greedy outcome (cover?) from root r at each radius 0..upto (default n)."""
     limit = g.n if upto is None else upto
-    greedy = _Greedy(D, g.n, g.is_tree())
+    greedy = _Greedy(g, D, g.is_tree())
     return [bool(greedy.run([r], radius, k)[0][0]) for radius in range(limit + 1)]
 
 
 def min_radius_for_root(g: Graph, D: np.ndarray, r: int, k: int):
     """Least greedy-covering radius for one root, the cover found there,
     and the packing witness one step below (None when the radius is 0)."""
-    greedy = _Greedy(D, g.n, g.is_tree())
+    greedy = _Greedy(g, D, g.is_tree())
     _, picks = greedy.run([r], g.n, k)  # radius n covers
     found = _rooted_solution(g, D, r, *_search_root(greedy, r, k, g.n, picks[0]))
     return found.radius, found.cover, found.packing

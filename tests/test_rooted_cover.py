@@ -30,6 +30,7 @@ from conftest import (
     min_radius_for_root,
     reference_best_root,
     reference_cover_or_packing,
+    reference_radius0_picks,
     reference_survivors,
     reference_verify_packing,
     scan_root,
@@ -311,7 +312,7 @@ def test_one_root_kernel_matches_lockstep_rows_and_reference():
     for g in _one_root_corpus():
         assert not g.is_tree()
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, g.n, False)
+        greedy = kgc.rooted_cover._Greedy(g, D, False)
         for r in range(g.n):
             for radius in (0, 1, 2, 3, 4, g.n):
                 for k in (1, 2, 3):
@@ -333,7 +334,7 @@ def test_survivors_match_full_ball_reference():
     # sphere is empty.  At n = 64 the rows need no padding column.
     for g in [*_differential_corpus(), random_connected(64, 76, 176)]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, g.n, False)
+        greedy = kgc.rooted_cover._Greedy(g, D, False)
         dr = greedy.dist[np.repeat(np.arange(g.n), g.n)]
         v = np.tile(np.arange(g.n), g.n)
         ecc = D.max(axis=1)[v]
@@ -362,8 +363,8 @@ def test_tree_kill_matches_general_kernel():
     ]
     for g in trees:
         D = apsp(g)
-        fast = kgc.rooted_cover._Greedy(D, g.n, True)
-        general = kgc.rooted_cover._Greedy(D, g.n, False)
+        fast = kgc.rooted_cover._Greedy(g, D, True)
+        general = kgc.rooted_cover._Greedy(g, D, False)
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
             for k in range(1, min(3, g.n) + 1):
@@ -380,9 +381,9 @@ def test_tree_flag_is_false_off_trees(monkeypatch):
     flags = []
     init = kgc.rooted_cover._Greedy.__init__
 
-    def spy(self, rows, n, tree):
+    def spy(self, g, rows, tree):
         flags.append(tree)
-        init(self, rows, n, tree)
+        init(self, g, rows, tree)
 
     monkeypatch.setattr(kgc.rooted_cover._Greedy, "__init__", spy)
     tree = random_tree(30, 192)
@@ -411,8 +412,8 @@ def test_greedy_reads_int32_distances_in_place():
     ]
     for g in graphs:
         D = apsp(g)
-        narrow = kgc.rooted_cover._Greedy(D, g.n, g.is_tree())
-        in_place = kgc.rooted_cover._Greedy(D.astype(np.int32), g.n, g.is_tree())
+        narrow = kgc.rooted_cover._Greedy(g, D, g.is_tree())
+        in_place = kgc.rooted_cover._Greedy(g, D.astype(np.int32), g.is_tree())
         assert narrow.dist[[0]].dtype == np.int16 and in_place.dist[[0]].dtype == np.int32
         roots = np.arange(g.n)
         for radius in range(g.n + 2):
@@ -429,7 +430,7 @@ def test_tree_picks_decide_the_greedy():
     # it covers exactly when at most 2k - 1 vertices have r-height R
     for g in [*tree_corpus(40, 1, 60, seed=195), *tree_shapes()]:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, g.n, True)
+        greedy = kgc.rooted_cover._Greedy(g, D, True)
         radius, count = kgc.rooted_cover._tree_picks(g, D.max(axis=1))
         assert radius == D.max(axis=1).min()
         for R in range(g.n + 2):
@@ -463,7 +464,7 @@ def test_radius0_picks_decide_the_greedy():
     graphs += [g for g in small_graph_corpus(30, 25, seed=198) if not g.is_tree()]
     for g in graphs:
         D = apsp(g)
-        greedy = kgc.rooted_cover._Greedy(D, g.n, False)
+        greedy = kgc.rooted_cover._Greedy(g, D, False)
         roots = np.arange(g.n)
         counts = kgc.rooted_cover._radius0_picks(g, greedy.dist, roots)
         for k in range(1, g.n // 2 + 1):
@@ -471,6 +472,76 @@ def test_radius0_picks_decide_the_greedy():
             assert (covered == (counts < 2 * k)).all()
             for r in covered.nonzero()[0]:
                 assert len(found[r]) == counts[r]
+
+
+def test_radius0_picks_match_reduceat_reference():
+    # the neighbour maximum one degree class at a time against one
+    # reduceat over the CSR: every root of the differential corpus, of a
+    # cycle (one degree class), of a spider (a class of one vertex, its
+    # centre), of a path and of the two-vertex graph
+    graphs = [
+        *_differential_corpus(),
+        cycle_graph(9),
+        subdivide(star_graph(3), 4),
+        path_graph(11),
+        path_graph(2),
+    ]
+    for g in graphs:
+        D = apsp(g)
+        roots = np.arange(g.n)
+        counts = kgc.rooted_cover._radius0_picks(g, D, roots)
+        assert counts.tolist() == reference_radius0_picks(g, D, roots).tolist()
+        assert counts[1:].tolist() == reference_radius0_picks(g, D, roots[1:]).tolist()
+
+
+def test_one_root_run_at_radius_0_reads_the_peaks(monkeypatch):
+    # a one-root run at radius 0 takes the first 2k peaks and builds no
+    # alignment row, with the outcome of the full-matrix greedy
+    aligned = []
+    original = kgc.rooted_cover._Greedy._aligned
+    monkeypatch.setattr(
+        kgc.rooted_cover._Greedy, "_aligned", lambda *a: aligned.append(a) or original(*a)
+    )
+    runs = 0
+    for g in _one_root_corpus():
+        D = apsp(g)
+        greedy = kgc.rooted_cover._Greedy(g, D, False)
+        for r in range(g.n):
+            for k in (1, 2, 3):
+                covered, picks = greedy.run([r], 0, k)
+                found = kgc.rooted_cover._outcome(g, D, r, bool(covered[0]), picks[0])
+                assert found == reference_cover_or_packing(g, D, r, 0, k)
+                runs += 1
+    assert runs > 500 and not aligned
+
+
+def test_one_root_run_stops_at_a_2r_ball_of_every_vertex(monkeypatch):
+    # a one-root run whose first pick v has ecc(v) <= 2R kills every vertex
+    # with v's 2R-ball and builds no ball row; other runs at R > 0 do build
+    # them.  Outcomes equal the full-matrix greedy's either way
+    built = []
+    original = kgc.rooted_cover._Greedy.ball_ints
+    monkeypatch.setattr(
+        kgc.rooted_cover._Greedy, "ball_ints", lambda *a: built.append(a) or original(*a)
+    )
+    stopped = 0
+    for g in _one_root_corpus():
+        D = apsp(g)
+        greedy = kgc.rooted_cover._Greedy(g, D, False)
+        for r in range(g.n):
+            v = int(D[r].argmax())
+            for radius in range(1, int(D[r, v]) + 1):
+                for k in (1, 2):
+                    built.clear()
+                    covered, picks = greedy.run([r], radius, k)
+                    found = kgc.rooted_cover._outcome(g, D, r, bool(covered[0]), picks[0])
+                    assert found == reference_cover_or_packing(g, D, r, radius, k)
+                    if D[v].max() <= 2 * radius:
+                        assert picks[0] == (v,) and not built
+                        stopped += 1
+                    elif D[r, v] > radius:
+                        assert built
+    assert stopped > 300
 
 
 def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
@@ -510,7 +581,7 @@ def test_best_root_runs_one_root_on_trees_and_counts_at_radius_0(monkeypatch):
 
 
 def _lockstep_outcomes(g, D, radius, k):
-    greedy = kgc.rooted_cover._Greedy(D, g.n, g.is_tree())
+    greedy = kgc.rooted_cover._Greedy(g, D, g.is_tree())
     covered, picks = greedy.run(np.arange(g.n), radius, k)
     return [
         kgc.rooted_cover._outcome(g, D, r, bool(covered[r]), picks[r]) for r in range(g.n)
@@ -561,7 +632,7 @@ def test_ball_bits_keep_the_last_radius(monkeypatch):
     # so radius 38, asked for again after 39, is built a second time
     g = path_graph(40)
     D = apsp(g)
-    greedy = kgc.rooted_cover._Greedy(D, g.n, False)
+    greedy = kgc.rooted_cover._Greedy(g, D, False)
     builds = []
     slices = kgc.rooted_cover._slices
     monkeypatch.setattr(
